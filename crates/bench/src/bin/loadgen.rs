@@ -30,13 +30,16 @@
 //! Emits a machine-readable `AID-SERVE {json}` summary line (throughput,
 //! p50/p99 session latency, rejection rate, cache hit-rate).
 //!
-//! Every run also pulls one `Metrics` wire frame at the end — the server's
-//! whole `aid_obs` registry in a single consistent snapshot — and records
-//! the service-side frame latency distribution (`serve_p50_frame_us`,
+//! Every run also pulls one `Metrics` wire frame right after the one-shot
+//! phase (before any `--stream=1` phase) — the server's whole `aid_obs`
+//! registry in a single consistent snapshot — and records the
+//! service-side frame latency distribution (`serve_p50_frame_us`,
 //! `serve_p99_frame_us`, from the `serve.frame_us` histogram) in the
-//! snapshot. `--metrics-dump=1` prints the snapshot in Prometheus text
-//! exposition format; `--assert-metrics=1` fails the run unless the
-//! snapshot carries per-shard engine cache histograms and a nonzero
+//! snapshot. Those keys, `serve_cache_hit_rate`, and the `--tier` keys
+//! describe the one-shot phase alone, whatever `--stream` says.
+//! `--metrics-dump=1` prints the snapshot in Prometheus text exposition
+//! format; `--assert-metrics=1` fails the run unless the snapshot carries
+//! the engine's cache counters and lease-wait histogram and a nonzero
 //! reactor dwell-time distribution (the CI `obs` job's contract).
 //!
 //! `--tier=<name>` records the reactor-scale metrics of the run under
@@ -329,9 +332,21 @@ fn main() {
     }
     let elapsed = started.elapsed();
 
+    // The one-shot phase's numbers, fixed before any stream traffic: the
+    // server's summary, and one Metrics frame over the live wire (the
+    // registry's consistent snapshot of every tier's counters and
+    // latency histograms).
+    let one_shot = server.stats();
+    let obs = {
+        let mut mc = AidClient::connect_tcp(addr).expect("metrics connect");
+        mc.hello("loadgen-metrics").expect("metrics hello");
+        let snap = mc.metrics().expect("metrics frame");
+        let _ = mc.goodbye();
+        snap
+    };
+
     // Phase 2 (--stream=1): the same fleet replays every scenario as a
     // standing query against the cache the one-shot phase just filled.
-    let one_shot_stats = server.stats();
     let mut stream_samples: Vec<Sample> = Vec::new();
     let mut stream_cached = 0u64;
     let mut stream_errors: Vec<String> = Vec::new();
@@ -356,16 +371,6 @@ fn main() {
         }
         stream_elapsed = stream_started.elapsed();
     }
-
-    // One Metrics frame over the live wire: the registry's consistent
-    // snapshot, carrying every tier's counters and latency histograms.
-    let obs = {
-        let mut mc = AidClient::connect_tcp(addr).expect("metrics connect");
-        mc.hello("loadgen-metrics").expect("metrics hello");
-        let snap = mc.metrics().expect("metrics frame");
-        let _ = mc.goodbye();
-        snap
-    };
 
     let stats = server.shutdown();
 
@@ -426,12 +431,12 @@ fn main() {
     println!(
         "server: {} executions | cache {} hits / {} misses ({:.0}% hit rate) | \
          {} rejections | {} protocol errors",
-        stats.executions,
-        stats.cache_hits,
-        stats.cache_misses,
-        100.0 * stats.cache_hit_rate(),
-        stats.rejections(),
-        stats.protocol_errors
+        one_shot.executions,
+        one_shot.cache_hits,
+        one_shot.cache_misses,
+        100.0 * one_shot.cache_hit_rate(),
+        one_shot.rejections(),
+        one_shot.protocol_errors
     );
     for e in &client_errors {
         eprintln!("CLIENT ERROR: {e}");
@@ -447,25 +452,25 @@ fn main() {
          \"bytes_in\":{},\"bytes_out\":{},\"sessions_completed\":{},\"peak_pending\":{}}}",
         elapsed.as_secs_f64(),
         sessions as f64 / elapsed.as_secs_f64(),
-        stats.rejections(),
+        one_shot.rejections(),
         if submissions == 0 {
             0.0
         } else {
-            stats.rejections() as f64 / submissions as f64
+            one_shot.rejections() as f64 / submissions as f64
         },
         client_errors.len(),
-        stats.protocol_errors,
-        stats.executions,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.cache_hit_rate(),
-        stats.traces_ingested,
-        stats.records_quarantined,
-        stats.upload_chunks,
-        stats.bytes_in,
-        stats.bytes_out,
-        stats.sessions_completed,
-        stats.peak_pending,
+        one_shot.protocol_errors,
+        one_shot.executions,
+        one_shot.cache_hits,
+        one_shot.cache_misses,
+        one_shot.cache_hit_rate(),
+        one_shot.traces_ingested,
+        one_shot.records_quarantined,
+        one_shot.upload_chunks,
+        one_shot.bytes_in,
+        one_shot.bytes_out,
+        one_shot.sessions_completed,
+        one_shot.peak_pending,
     );
 
     // Service-side frame latency, from the telemetry plane rather than
@@ -494,7 +499,10 @@ fn main() {
             ("serve_p99_ms".to_string(), p99),
             ("serve_p50_frame_us".to_string(), frame_p50_us),
             ("serve_p99_frame_us".to_string(), frame_p99_us),
-            ("serve_cache_hit_rate".to_string(), stats.cache_hit_rate()),
+            (
+                "serve_cache_hit_rate".to_string(),
+                one_shot.cache_hit_rate(),
+            ),
         ],
     );
 
@@ -508,25 +516,24 @@ fn main() {
     // hit rate at that scale (ratio key — benchdiff gates it).
     if let Some(tier) = &tier {
         let frames_per_s =
-            (stats.frames_in + stats.frames_out) as f64 / elapsed.as_secs_f64().max(1e-9);
+            (one_shot.frames_in + one_shot.frames_out) as f64 / elapsed.as_secs_f64().max(1e-9);
         println!(
             "AID-SERVE-REACTOR {{\"tier\":\"{tier}\",\"connections_held\":{},\
              \"handler_dispatches\":{},\"frames_per_s\":{frames_per_s:.1},\
-             \"engine_shards\":{},\"cache_hit_rate\":{:.4}}}",
-            stats.peak_connections,
-            stats.handler_dispatches,
-            stats.engine_shards,
-            stats.cache_hit_rate(),
+             \"cache_hit_rate\":{:.4}}}",
+            one_shot.peak_connections,
+            one_shot.handler_dispatches,
+            one_shot.cache_hit_rate(),
         );
         aid_bench::snapshot::merge_write(
             "BENCH_serve.json",
             &[
                 (
                     format!("serve_{tier}_connections_held"),
-                    stats.peak_connections as f64,
+                    one_shot.peak_connections as f64,
                 ),
                 (format!("serve_{tier}_frames_per_s"), frames_per_s),
-                (format!("serve_{tier}_hit_rate"), stats.cache_hit_rate()),
+                (format!("serve_{tier}_hit_rate"), one_shot.cache_hit_rate()),
             ],
         );
     }
@@ -535,24 +542,19 @@ fn main() {
     let mut failed = false;
     if assert_metrics {
         // The telemetry contract the CI `obs` job pins: the wire snapshot
-        // must carry per-shard engine cache counters + lease-wait
-        // histograms and a live reactor dwell-time distribution.
-        let shards = stats.engine_shards.max(1);
-        for shard in 0..shards {
-            for key in [
-                format!("engine.shard{shard}.cache.hits"),
-                format!("engine.shard{shard}.cache.misses"),
-            ] {
-                if obs.counter(&key).is_none() {
-                    eprintln!("FAIL: metrics snapshot is missing counter {key}");
-                    failed = true;
-                }
-            }
-            let key = format!("engine.shard{shard}.cache.lease_wait_us");
-            if obs.histogram(&key).is_none() {
-                eprintln!("FAIL: metrics snapshot is missing histogram {key}");
+        // must carry the engine's cache counters + lease-wait histogram
+        // and a live reactor dwell-time distribution.
+        for key in ["engine.shard0.cache.hits", "engine.shard0.cache.misses"] {
+            if obs.counter(key).is_none() {
+                eprintln!("FAIL: metrics snapshot is missing counter {key}");
                 failed = true;
             }
+        }
+        if obs.histogram("engine.shard0.cache.lease_wait_us").is_none() {
+            eprintln!(
+                "FAIL: metrics snapshot is missing histogram engine.shard0.cache.lease_wait_us"
+            );
+            failed = true;
         }
         match obs.histogram("serve.reactor.dwell_us") {
             Some(h) if h.count > 0 => {}
@@ -590,8 +592,8 @@ fn main() {
                 .filter(|s| s.causal != reference.causal || s.rounds != reference.rounds)
                 .count();
         }
-        let d_hits = stats.cache_hits - one_shot_stats.cache_hits;
-        let d_misses = stats.cache_misses - one_shot_stats.cache_misses;
+        let d_hits = stats.cache_hits - one_shot.cache_hits;
+        let d_misses = stats.cache_misses - one_shot.cache_misses;
         let stream_hit_rate = if d_hits + d_misses == 0 {
             1.0
         } else {
@@ -603,7 +605,7 @@ fn main() {
              {} executions, cache hit rate {:.0}% | {stream_cached} stat-neutral tails \
              cache-served | reprobed {} / skipped {} candidates",
             watches as f64 / stream_elapsed.as_secs_f64().max(1e-9),
-            stats.executions - one_shot_stats.executions,
+            stats.executions - one_shot.executions,
             100.0 * stream_hit_rate,
             stats.view_reprobed,
             stats.view_skipped,
@@ -620,7 +622,7 @@ fn main() {
              \"watch_events\":{},\"view_reprobed\":{},\"view_skipped\":{}}}",
             stream_elapsed.as_secs_f64(),
             watches as f64 / stream_elapsed.as_secs_f64().max(1e-9),
-            stats.executions - one_shot_stats.executions,
+            stats.executions - one_shot.executions,
             stream_errors.len(),
             stats.watch_events,
             stats.view_reprobed,

@@ -59,7 +59,7 @@ impl Default for EngineCounters {
 
 impl EngineCounters {
     /// Counters registered in `metrics` under `{prefix}.*` (the engine
-    /// uses `engine.shard{i}` prefixes, one set per tier).
+    /// uses `engine.shard0`).
     pub fn with_metrics(metrics: &MetricsRegistry, prefix: &str) -> Self {
         EngineCounters {
             executions: metrics.counter(&format!("{prefix}.executions")),
@@ -102,10 +102,6 @@ pub struct PooledSimExecutor {
 /// catalog entries, and `observed` is evaluated against it), and the
 /// failure indicator. Two sessions over the same program with catalogs
 /// from different observation phases must never share entries.
-///
-/// `aid_engine::job_fingerprint` routes jobs across engine shards with the
-/// same hash, so a recipe's shard and its cache partition coincide by
-/// construction.
 pub fn sim_fingerprint(sim: &Simulator, catalog: &PredicateCatalog, failure: PredicateId) -> u64 {
     Fnv1a::new()
         .write_u64(sim.fingerprint())

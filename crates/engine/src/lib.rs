@@ -66,9 +66,8 @@ pub use executor::{
 };
 pub use pool::WorkerPool;
 pub use session::{
-    job_fingerprint, jump_hash, DiscoveryJob, Engine, EngineConfig, EngineHandle, EngineStats,
-    JobSource, Saturated, Session, SessionError, SessionErrorKind, SessionPoll, SessionResult,
-    ShardedEngine,
+    DiscoveryJob, Engine, EngineConfig, EngineHandle, EngineStats, JobSource, Saturated, Session,
+    SessionError, SessionErrorKind, SessionPoll, SessionResult, METRICS_PREFIX,
 };
 
 /// The engine shares these across OS threads; pin the auto-traits at

@@ -16,9 +16,7 @@
 //! `tests/determinism.rs` pin this for all six case studies.
 
 use crate::cache::InterventionCache;
-use crate::executor::{
-    sim_fingerprint, truth_fingerprint, CachedOracleExecutor, EngineCounters, PooledSimExecutor,
-};
+use crate::executor::{CachedOracleExecutor, EngineCounters, PooledSimExecutor};
 use crate::pool::WorkerPool;
 use aid_causal::AcDag;
 use aid_core::{discover_with_options, DiscoverOptions, DiscoveryResult, GroundTruth, Strategy};
@@ -26,6 +24,7 @@ use aid_obs::MetricsRegistry;
 use aid_predicates::{PredicateCatalog, PredicateId};
 use aid_sim::{Simulator, VmError};
 use crossbeam::channel::{self, Receiver, TryRecvError};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Engine sizing knobs.
@@ -145,43 +144,6 @@ impl DiscoveryJob {
     }
 }
 
-/// The consistent-routing fingerprint of a job: for simulator jobs, the
-/// same program+catalog+failure hash that keys its intervention-cache
-/// entries ([`crate::executor::sim_fingerprint`]); for oracle jobs, the
-/// ground-truth structure hash ([`truth_fingerprint`]). Because shard
-/// routing and cache keying use the *same* hash, identical recipes from
-/// any client land on the same shard **and** the same
-/// [`InterventionCache`] partition — cross-client memoization survives
-/// scale-out by construction.
-pub fn job_fingerprint(job: &DiscoveryJob) -> u64 {
-    match &job.source {
-        JobSource::Sim {
-            simulator,
-            catalog,
-            failure,
-            ..
-        } => sim_fingerprint(simulator, catalog, *failure),
-        JobSource::Oracle { truth } => truth_fingerprint(truth),
-    }
-}
-
-/// Jump consistent hash (Lamping & Veach 2014): maps `key` onto
-/// `0..buckets` such that growing the bucket count moves only `1/n` of
-/// the keys. Deterministic, allocation-free, and uniform enough for
-/// fingerprint keys (which are already FNV-mixed).
-pub fn jump_hash(mut key: u64, buckets: usize) -> usize {
-    assert!(buckets > 0, "jump_hash needs at least one bucket");
-    let mut b: i64 = -1;
-    let mut j: i64 = 0;
-    while j < buckets as i64 {
-        b = j;
-        key = key.wrapping_mul(2_862_933_555_777_941_757).wrapping_add(1);
-        j = (((b.wrapping_add(1)) as f64)
-            * ((1u64 << 31) as f64 / ((key >> 33).wrapping_add(1) as f64))) as i64;
-    }
-    b as usize
-}
-
 /// A finished session.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SessionResult {
@@ -229,6 +191,10 @@ impl std::error::Error for SessionError {}
 pub struct Session {
     name: String,
     rx: Receiver<Result<SessionResult, SessionError>>,
+    /// Set once `try_wait` hands the outcome out. The worker drops its
+    /// sender only after the send, so the channel alone would still read
+    /// as empty (not disconnected) for a moment after delivery.
+    delivered: AtomicBool,
 }
 
 impl std::fmt::Debug for Session {
@@ -271,14 +237,20 @@ impl Session {
     /// sessions from one thread (e.g. a network server polling tickets
     /// between requests). Returns [`SessionPoll::Ready`] (or
     /// [`SessionPoll::Failed`] for a session that died with a typed error)
-    /// exactly once; a later call observes the disconnected channel and
-    /// reports [`SessionPoll::Lost`].
+    /// exactly once; every later call reports [`SessionPoll::Lost`].
     pub fn try_wait(&self) -> SessionPoll {
-        match self.rx.try_recv() {
-            Ok(Ok(result)) => SessionPoll::Ready(result),
-            Ok(Err(e)) => SessionPoll::Failed(e),
-            Err(TryRecvError::Empty) => SessionPoll::Pending,
-            Err(TryRecvError::Disconnected) => SessionPoll::Lost,
+        if self.delivered.load(Ordering::Relaxed) {
+            return SessionPoll::Lost;
+        }
+        let outcome = match self.rx.try_recv() {
+            Ok(outcome) => outcome,
+            Err(TryRecvError::Empty) => return SessionPoll::Pending,
+            Err(TryRecvError::Disconnected) => return SessionPoll::Lost,
+        };
+        self.delivered.store(true, Ordering::Relaxed);
+        match outcome {
+            Ok(result) => SessionPoll::Ready(result),
+            Err(e) => SessionPoll::Failed(e),
         }
     }
 }
@@ -398,41 +370,14 @@ struct EngineShared {
     max_pending: usize,
 }
 
-impl EngineShared {
-    /// One engine tier: its own cache partition, counters, and admission
-    /// queue over the given (possibly shared) worker pool. Telemetry
-    /// registers in `metrics` under `engine.shard{shard}.*`, so a
-    /// snapshot of the registry carries per-tier cache and session
-    /// metrics side by side.
-    fn build(
-        config: &EngineConfig,
-        pool: Arc<WorkerPool>,
-        metrics: &MetricsRegistry,
-        shard: usize,
-    ) -> Arc<EngineShared> {
-        let prefix = format!("engine.shard{shard}");
-        Arc::new(EngineShared {
-            pool,
-            cache: Arc::new(InterventionCache::with_metrics(
-                config.cache_shards,
-                config.cache_capacity,
-                metrics,
-                &prefix,
-            )),
-            counters: Arc::new(EngineCounters::with_metrics(metrics, &prefix)),
-            queue: Mutex::new(EngineQueue {
-                pending: 0,
-                shutting_down: false,
-            }),
-            capacity: Condvar::new(),
-            max_pending: config.max_pending.max(1),
-        })
-    }
-}
+/// Registry prefix of the engine's cache and session metrics. The name
+/// predates the single-engine design (it once numbered engine shards);
+/// it stays `shard0` because scrapers and the benchmark parse it.
+pub const METRICS_PREFIX: &str = "engine.shard0";
 
 /// The multi-session discovery engine.
 pub struct Engine {
-    shared: Arc<EngineShared>,
+    handle: EngineHandle,
     metrics: Arc<MetricsRegistry>,
 }
 
@@ -443,14 +388,29 @@ impl Engine {
         Engine::with_metrics(config, Arc::new(MetricsRegistry::from_env()))
     }
 
-    /// Builds an engine whose telemetry registers in `metrics` (the
-    /// single tier takes the `engine.shard0` prefix; the pool registers
+    /// Builds an engine whose telemetry registers in `metrics` (cache and
+    /// session metrics under `engine.shard0.*`, the pool under
     /// `engine.pool.*`). Servers pass their registry here so one snapshot
     /// covers every tier.
     pub fn with_metrics(config: EngineConfig, metrics: Arc<MetricsRegistry>) -> Self {
-        let pool = Arc::new(WorkerPool::with_metrics(config.workers, &metrics));
+        let shared = Arc::new(EngineShared {
+            pool: Arc::new(WorkerPool::with_metrics(config.workers, &metrics)),
+            cache: Arc::new(InterventionCache::with_metrics(
+                config.cache_shards,
+                config.cache_capacity,
+                &metrics,
+                METRICS_PREFIX,
+            )),
+            counters: Arc::new(EngineCounters::with_metrics(&metrics, METRICS_PREFIX)),
+            queue: Mutex::new(EngineQueue {
+                pending: 0,
+                shutting_down: false,
+            }),
+            capacity: Condvar::new(),
+            max_pending: config.max_pending.max(1),
+        });
         Engine {
-            shared: EngineShared::build(&config, pool, &metrics, 0),
+            handle: EngineHandle { shared },
             metrics,
         }
     }
@@ -471,19 +431,17 @@ impl Engine {
     /// A cloneable handle for submitting jobs (e.g. from server
     /// connection-handler threads).
     pub fn handle(&self) -> EngineHandle {
-        EngineHandle {
-            shards: vec![Arc::clone(&self.shared)],
-        }
+        self.handle.clone()
     }
 
     /// Queues a named discovery job (see [`EngineHandle::submit`]).
     pub fn submit(&self, job: DiscoveryJob) -> Session {
-        self.handle().submit(job)
+        self.handle.submit(job)
     }
 
     /// Non-blocking submission (see [`EngineHandle::try_submit`]).
     pub fn try_submit(&self, job: DiscoveryJob) -> Result<Session, Saturated> {
-        self.handle().try_submit(job)
+        self.handle.try_submit(job)
     }
 
     /// Graceful drain: refuses every subsequent submission (both
@@ -492,24 +450,38 @@ impl Engine {
     /// every in-flight session has completed. Idempotent; callers holding
     /// [`Session`] tickets still receive their results.
     pub fn shutdown(&self) {
-        drain_shard(&self.shared);
+        let shared = &self.handle.shared;
+        shared.queue.lock().unwrap().shutting_down = true;
+        // Wake submitters blocked on backpressure so they observe the
+        // drain instead of sleeping forever.
+        shared.capacity.notify_all();
+        self.wait_idle();
+    }
+
+    /// Blocks until no session is in flight, without refusing new ones.
+    fn wait_idle(&self) {
+        let shared = &self.handle.shared;
+        let mut q = shared.queue.lock().unwrap();
+        while q.pending > 0 {
+            q = shared.capacity.wait(q).unwrap();
+        }
     }
 
     /// Submits every job and waits for all of them, preserving input order.
     pub fn run_all(&self, jobs: Vec<DiscoveryJob>) -> Vec<SessionResult> {
-        self.handle().run_all(jobs)
+        self.handle.run_all(jobs)
     }
 
     /// Telemetry snapshot.
     pub fn stats(&self) -> EngineStats {
-        self.handle().stats()
+        self.handle.stats()
     }
 
     /// The engine's worker pool, for co-located fan-out work (e.g. an
     /// `aid_store` ingesting trace batches on the same threads its
     /// discovery sessions run on, instead of spawning a second pool).
     pub fn pool(&self) -> Arc<WorkerPool> {
-        Arc::clone(&self.shared.pool)
+        self.handle.pool()
     }
 }
 
@@ -518,62 +490,21 @@ impl Drop for Engine {
         // Drain before tearing down: every queued session still runs to
         // completion (tickets held by callers keep receiving results), so
         // dropping the engine never silently abandons work.
-        wait_idle(&self.shared);
+        self.wait_idle();
     }
 }
 
-/// Graceful drain of one shard: set the flag, wake blocked submitters,
-/// wait until the in-flight count reaches zero.
-fn drain_shard(shared: &Arc<EngineShared>) {
-    let mut q = shared.queue.lock().unwrap();
-    q.shutting_down = true;
-    // Wake submitters blocked on backpressure so they observe the
-    // drain instead of sleeping forever.
-    shared.capacity.notify_all();
-    while q.pending > 0 {
-        q = shared.capacity.wait(q).unwrap();
-    }
-}
-
-/// Waits until a shard has no in-flight sessions (without refusing new
-/// ones — the Drop path).
-fn wait_idle(shared: &Arc<EngineShared>) {
-    let mut q = shared.queue.lock().unwrap();
-    while q.pending > 0 {
-        q = shared.capacity.wait(q).unwrap();
-    }
-}
-
-/// A cloneable submission handle onto one or more engine shards.
-///
-/// From [`Engine::handle`] it fronts a single shard and behaves exactly as
-/// before. From [`ShardedEngine::handle`] it routes *every job* by
-/// [`job_fingerprint`] (via [`jump_hash`]) — so a caller holding one
-/// handle, including an `aid_watch::Watcher` submitting its internal
-/// re-probes, lands each recipe on the same shard any other client's
-/// identical recipe lands on.
+/// A cloneable submission handle onto an [`Engine`]'s admission queue,
+/// cache and pool.
 #[derive(Clone)]
 pub struct EngineHandle {
-    shards: Vec<Arc<EngineShared>>,
+    shared: Arc<EngineShared>,
 }
 
 impl EngineHandle {
-    /// The shard a job routes to (index into this handle's shard list).
-    pub fn route(&self, job: &DiscoveryJob) -> usize {
-        if self.shards.len() == 1 {
-            0
-        } else {
-            jump_hash(job_fingerprint(job), self.shards.len())
-        }
-    }
-
-    fn shard_for(&self, job: &DiscoveryJob) -> &Arc<EngineShared> {
-        &self.shards[self.route(job)]
-    }
-
     /// Queues a named discovery job, blocking while `max_pending` sessions
-    /// are already in flight on its shard (backpressure), and returns the
-    /// session ticket.
+    /// are already in flight (backpressure), and returns the session
+    /// ticket.
     ///
     /// # Panics
     ///
@@ -582,17 +513,52 @@ impl EngineHandle {
     /// [`EngineHandle::try_submit`], which reports the drain as a typed
     /// rejection instead.
     pub fn submit(&self, job: DiscoveryJob) -> Session {
-        submit_on(self.shard_for(&job), job)
+        let shared = &self.shared;
+        let shutting_down = {
+            let mut q = shared.queue.lock().unwrap();
+            while q.pending >= shared.max_pending && !q.shutting_down {
+                q = shared.capacity.wait(q).unwrap();
+            }
+            if !q.shutting_down {
+                q.pending += 1;
+                shared.counters.record_peak(q.pending as u64);
+            }
+            q.shutting_down
+            // The guard drops here: panicking while holding it would
+            // poison the queue mutex for every worker's PendingGuard and
+            // for shutdown() itself, turning one caller's bug into an
+            // engine-wide abort.
+        };
+        assert!(
+            !shutting_down,
+            "EngineHandle::submit on a shut-down engine (use try_submit)"
+        );
+        self.spawn_session(job)
     }
 
     /// Non-blocking submission: returns the session ticket immediately, or
     /// [`Saturated`] (carrying the job back) when `max_pending` sessions
-    /// are already queued-or-running on the job's shard or the engine is
-    /// draining. This is the admission-control primitive — an accept
-    /// thread can shed load with a typed rejection instead of blocking
-    /// behind backpressure.
+    /// are already queued-or-running or the engine is draining. This is
+    /// the admission-control primitive — an accept thread can shed load
+    /// with a typed rejection instead of blocking behind backpressure.
     pub fn try_submit(&self, job: DiscoveryJob) -> Result<Session, Saturated> {
-        try_submit_on(self.shard_for(&job), job)
+        let shared = &self.shared;
+        {
+            let mut q = shared.queue.lock().unwrap();
+            if q.shutting_down || q.pending >= shared.max_pending {
+                let (shutting_down, pending) = (q.shutting_down, q.pending);
+                drop(q);
+                shared.counters.rejected.inc();
+                return Err(Saturated {
+                    job: Box::new(job),
+                    shutting_down,
+                    pending,
+                });
+            }
+            q.pending += 1;
+            shared.counters.record_peak(q.pending as u64);
+        }
+        Ok(self.spawn_session(job))
     }
 
     /// Submits every job and waits for all of them, preserving input order.
@@ -604,272 +570,87 @@ impl EngineHandle {
         sessions.into_iter().map(Session::wait).collect()
     }
 
-    /// The engine's worker pool (see [`Engine::pool`]). Shards of a
-    /// [`ShardedEngine`] share one pool, so any shard's is *the* pool.
+    /// The engine's worker pool (see [`Engine::pool`]).
     pub fn pool(&self) -> Arc<WorkerPool> {
-        Arc::clone(&self.shards[0].pool)
+        Arc::clone(&self.shared.pool)
     }
 
-    /// Telemetry snapshot, folded across every shard this handle routes
-    /// over (see `fold_stats` for the pool-metric caveat).
+    /// Telemetry snapshot.
     pub fn stats(&self) -> EngineStats {
-        fold_stats(&self.shards)
+        let shared = &self.shared;
+        let cache = shared.cache.stats();
+        EngineStats {
+            executions: shared.counters.executions.get(),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_evictions: cache.evictions,
+            cache_entries: cache.entries,
+            wall_batches: shared.pool.batches(),
+            sessions_completed: shared.counters.sessions.get(),
+            sessions_failed: shared.counters.failed.get(),
+            sessions_rejected: shared.counters.rejected.get(),
+            tasks_per_worker: shared.pool.tasks_per_worker(),
+            inline_tasks: shared.pool.inline_tasks(),
+            peak_pending: shared.counters.peak_pending.get(),
+        }
     }
-}
 
-/// Blocking submission onto one shard (see [`EngineHandle::submit`]).
-fn submit_on(shared: &Arc<EngineShared>, job: DiscoveryJob) -> Session {
-    let shutting_down = {
-        let mut q = shared.queue.lock().unwrap();
-        while q.pending >= shared.max_pending && !q.shutting_down {
-            q = shared.capacity.wait(q).unwrap();
-        }
-        if !q.shutting_down {
-            q.pending += 1;
-            shared.counters.record_peak(q.pending as u64);
-        }
-        q.shutting_down
-        // The guard drops here: panicking while holding it would
-        // poison the queue mutex for every worker's PendingGuard and
-        // for shutdown() itself, turning one caller's bug into an
-        // engine-wide abort.
-    };
-    assert!(
-        !shutting_down,
-        "EngineHandle::submit on a shut-down engine (use try_submit)"
-    );
-    spawn_session_on(shared, job)
-}
-
-/// Non-blocking submission onto one shard (see
-/// [`EngineHandle::try_submit`]).
-fn try_submit_on(shared: &Arc<EngineShared>, job: DiscoveryJob) -> Result<Session, Saturated> {
-    {
-        let mut q = shared.queue.lock().unwrap();
-        if q.shutting_down || q.pending >= shared.max_pending {
-            let (shutting_down, pending) = (q.shutting_down, q.pending);
-            drop(q);
-            shared.counters.rejected.inc();
-            return Err(Saturated {
-                job: Box::new(job),
-                shutting_down,
-                pending,
-            });
-        }
-        q.pending += 1;
-        shared.counters.record_peak(q.pending as u64);
-    }
-    Ok(spawn_session_on(shared, job))
-}
-
-/// Spawns an already-admitted job (its `pending` slot is reserved).
-fn spawn_session_on(shared: &Arc<EngineShared>, job: DiscoveryJob) -> Session {
-    let (tx, rx) = channel::unbounded();
-    let name = job.name.clone();
-    let task_shared = Arc::clone(shared);
-    shared.pool.spawn(move || {
-        // Decrement `pending` even if the job panics (e.g. a malformed
-        // DAG with a non-interventable predicate): a leaked count would
-        // wedge backpressure and hang Engine::drop forever.
-        struct PendingGuard(Arc<EngineShared>);
-        impl Drop for PendingGuard {
-            fn drop(&mut self) {
-                let mut q = self.0.queue.lock().unwrap();
-                q.pending -= 1;
-                drop(q);
-                // notify_all, not notify_one: backpressured submitters
-                // and a draining Engine::drop wait on the same condvar,
-                // and waking only one of them can strand the other.
-                self.0.capacity.notify_all();
+    /// Spawns an already-admitted job (its `pending` slot is reserved).
+    fn spawn_session(&self, job: DiscoveryJob) -> Session {
+        let (tx, rx) = channel::unbounded();
+        let name = job.name.clone();
+        let task_shared = Arc::clone(&self.shared);
+        self.shared.pool.spawn(move || {
+            // Decrement `pending` even if the job panics (e.g. a malformed
+            // DAG with a non-interventable predicate): a leaked count would
+            // wedge backpressure and hang Engine::drop forever.
+            struct PendingGuard(Arc<EngineShared>);
+            impl Drop for PendingGuard {
+                fn drop(&mut self) {
+                    let mut q = self.0.queue.lock().unwrap();
+                    q.pending -= 1;
+                    drop(q);
+                    // notify_all, not notify_one: backpressured submitters
+                    // and a draining Engine::drop wait on the same condvar,
+                    // and waking only one of them can strand the other.
+                    self.0.capacity.notify_all();
+                }
             }
-        }
-        let _guard = PendingGuard(Arc::clone(&task_shared));
-        // Quarantine job failures: a VM trap unwinds out of the
-        // executor carrying a typed `VmError` payload, and any other
-        // panic is a job bug — both become a per-session
-        // `SessionError` on this session's channel instead of killing
-        // the ticket (and, transitively, whatever server thread polls
-        // it).
-        let name_for_err = job.name.clone();
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(job, &task_shared)))
-                .map_err(|payload| {
-                    let kind = match payload.downcast::<VmError>() {
-                        Ok(trap) => SessionErrorKind::Trap(*trap),
-                        Err(payload) => SessionErrorKind::Panic(panic_message(&*payload)),
-                    };
-                    SessionError {
-                        name: name_for_err,
-                        kind,
-                    }
-                });
-        // Count completion *before* publishing the result, so a caller
-        // that reads stats right after wait() observes the session.
-        match &outcome {
-            Ok(_) => task_shared.counters.sessions.inc(),
-            Err(_) => task_shared.counters.failed.inc(),
-        };
-        // The submitter may have dropped the ticket; that is not an
-        // engine error.
-        let _ = tx.send(outcome);
-    });
-    Session { name, rx }
-}
-
-/// Folds per-shard counters and cache stats into one [`EngineStats`].
-///
-/// Counter and cache fields sum across shards; pool fields
-/// (`wall_batches`, `tasks_per_worker`, `inline_tasks`) are read from the
-/// first shard only, because every shard of a [`ShardedEngine`] shares
-/// one [`WorkerPool`] — summing them would multiply the same pool's work
-/// by the shard count.
-fn fold_stats(shards: &[Arc<EngineShared>]) -> EngineStats {
-    let pool = &shards[0].pool;
-    let mut stats = EngineStats {
-        executions: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        cache_evictions: 0,
-        cache_entries: 0,
-        wall_batches: pool.batches(),
-        sessions_completed: 0,
-        sessions_failed: 0,
-        sessions_rejected: 0,
-        tasks_per_worker: pool.tasks_per_worker(),
-        inline_tasks: pool.inline_tasks(),
-        peak_pending: 0,
-    };
-    for shard in shards {
-        let cache = shard.cache.stats();
-        stats.executions += shard.counters.executions.get();
-        stats.cache_hits += cache.hits;
-        stats.cache_misses += cache.misses;
-        stats.cache_evictions += cache.evictions;
-        stats.cache_entries += cache.entries;
-        stats.sessions_completed += shard.counters.sessions.get();
-        stats.sessions_failed += shard.counters.failed.get();
-        stats.sessions_rejected += shard.counters.rejected.get();
-        // Peaks on different shards can coincide, so the sum is an upper
-        // bound; the max is a sound lower bound. Report the max — the
-        // stat answers "how deep did one admission queue get".
-        stats.peak_pending = stats.peak_pending.max(shard.counters.peak_pending.get());
-    }
-    stats
-}
-
-/// N engine tiers over one worker pool.
-///
-/// Each shard owns its own [`InterventionCache`] partition, admission
-/// queue, and counters; CPU work from every shard funnels into one shared
-/// [`WorkerPool`]. Jobs route by [`job_fingerprint`] — the same
-/// program+catalog+failure hash that keys cache entries — through
-/// [`jump_hash`], so identical recipes from any client (or any standing
-/// query's internal re-probe) always land on the same shard and hence the
-/// same cache partition: cross-client memoization is preserved under
-/// scale-out, and distinct programs spread across shards instead of
-/// contending on one admission queue.
-///
-/// `max_pending` (and the cache capacity) from the [`EngineConfig`] apply
-/// **per shard**: the admission bound is about queue depth and memory per
-/// tier, and a shard only ever sees its own fingerprint slice.
-pub struct ShardedEngine {
-    shards: Vec<Arc<EngineShared>>,
-    metrics: Arc<MetricsRegistry>,
-}
-
-impl ShardedEngine {
-    /// Builds `shards` engine tiers sharing one pool of `config.workers`
-    /// threads, with their own `AID_OBS`-gated metrics registry.
-    pub fn new(config: EngineConfig, shards: usize) -> Self {
-        ShardedEngine::with_metrics(config, shards, Arc::new(MetricsRegistry::from_env()))
-    }
-
-    /// Builds `shards` tiers whose telemetry registers in `metrics`: tier
-    /// `i` takes the `engine.shard{i}` prefix and the shared pool
-    /// registers `engine.pool.*`.
-    pub fn with_metrics(
-        config: EngineConfig,
-        shards: usize,
-        metrics: Arc<MetricsRegistry>,
-    ) -> Self {
-        let shards = shards.max(1);
-        let pool = Arc::new(WorkerPool::with_metrics(config.workers, &metrics));
-        ShardedEngine {
-            shards: (0..shards)
-                .map(|i| EngineShared::build(&config, Arc::clone(&pool), &metrics, i))
-                .collect(),
-            metrics,
-        }
-    }
-
-    /// The registry this engine's telemetry lives in.
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// A cloneable routing handle over every shard.
-    pub fn handle(&self) -> EngineHandle {
-        EngineHandle {
-            shards: self.shards.clone(),
-        }
-    }
-
-    /// Routed blocking submission (see [`EngineHandle::submit`]).
-    pub fn submit(&self, job: DiscoveryJob) -> Session {
-        self.handle().submit(job)
-    }
-
-    /// Routed non-blocking submission (see [`EngineHandle::try_submit`]).
-    pub fn try_submit(&self, job: DiscoveryJob) -> Result<Session, Saturated> {
-        self.handle().try_submit(job)
-    }
-
-    /// Graceful drain of every shard: refuses all subsequent submissions
-    /// and blocks until every in-flight session on every shard completed.
-    /// Idempotent.
-    pub fn shutdown(&self) {
-        // Flag every shard before waiting on any: routing is per-job, so
-        // a drain that waited out shard 0 before flagging shard 1 would
-        // let new work slip into the not-yet-flagged shards meanwhile.
-        for shard in &self.shards {
-            shard.queue.lock().unwrap().shutting_down = true;
-            shard.capacity.notify_all();
-        }
-        for shard in &self.shards {
-            drain_shard(shard);
-        }
-    }
-
-    /// Folded telemetry across all shards (see `fold_stats`).
-    pub fn stats(&self) -> EngineStats {
-        fold_stats(&self.shards)
-    }
-
-    /// One shard's own telemetry (cache partition + admission counters).
-    pub fn shard_stats(&self, shard: usize) -> EngineStats {
-        fold_stats(&self.shards[shard..=shard])
-    }
-
-    /// The shard index a job routes to.
-    pub fn route(&self, job: &DiscoveryJob) -> usize {
-        self.handle().route(job)
-    }
-
-    /// The shared worker pool.
-    pub fn pool(&self) -> Arc<WorkerPool> {
-        Arc::clone(&self.shards[0].pool)
-    }
-}
-
-impl Drop for ShardedEngine {
-    fn drop(&mut self) {
-        for shard in &self.shards {
-            wait_idle(shard);
+            let _guard = PendingGuard(Arc::clone(&task_shared));
+            // Quarantine job failures: a VM trap unwinds out of the
+            // executor carrying a typed `VmError` payload, and any other
+            // panic is a job bug — both become a per-session
+            // `SessionError` on this session's channel instead of killing
+            // the ticket (and, transitively, whatever server thread polls
+            // it).
+            let name_for_err = job.name.clone();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                execute(job, &task_shared)
+            }))
+            .map_err(|payload| {
+                let kind = match payload.downcast::<VmError>() {
+                    Ok(trap) => SessionErrorKind::Trap(*trap),
+                    Err(payload) => SessionErrorKind::Panic(panic_message(&*payload)),
+                };
+                SessionError {
+                    name: name_for_err,
+                    kind,
+                }
+            });
+            // Count completion *before* publishing the result, so a caller
+            // that reads stats right after wait() observes the session.
+            match &outcome {
+                Ok(_) => task_shared.counters.sessions.inc(),
+                Err(_) => task_shared.counters.failed.inc(),
+            };
+            // The submitter may have dropped the ticket; that is not an
+            // engine error.
+            let _ = tx.send(outcome);
+        });
+        Session {
+            name,
+            rx,
+            delivered: AtomicBool::new(false),
         }
     }
 }
@@ -1289,91 +1070,6 @@ mod tests {
         assert_eq!(result.name, "polled");
         // The result was consumed; the channel now reports Lost.
         assert!(matches!(session.try_wait(), SessionPoll::Lost));
-    }
-
-    /// Jump hash is deterministic, in range, and minimally disruptive:
-    /// growing the bucket count never moves a key between two *existing*
-    /// buckets (it may only move to the new one).
-    #[test]
-    fn jump_hash_is_consistent() {
-        for key in (0..2000u64).map(|k| k.wrapping_mul(0x9E37_79B9_7F4A_7C15)) {
-            let at4 = jump_hash(key, 4);
-            assert!(at4 < 4);
-            assert_eq!(at4, jump_hash(key, 4), "deterministic");
-            let at5 = jump_hash(key, 5);
-            assert!(
-                at5 == at4 || at5 == 4,
-                "growing 4→5 buckets may only move a key to the new bucket; \
-                 key {key} moved {at4}→{at5}"
-            );
-        }
-    }
-
-    /// Identical recipes route to the same shard of a `ShardedEngine`, so
-    /// a repeat session is answered from that shard's cache partition —
-    /// the cross-client economics the single-engine tests pin, preserved
-    /// under scale-out.
-    #[test]
-    fn sharded_engine_routes_identical_recipes_to_one_cache_partition() {
-        let engine = ShardedEngine::new(
-            EngineConfig {
-                workers: 2,
-                ..EngineConfig::default()
-            },
-            4,
-        );
-        let shard = engine.route(&oracle_job("probe", 3));
-        engine.submit(oracle_job("first", 3)).wait();
-        let warm = engine.stats();
-        assert!(warm.executions > 0);
-        engine.submit(oracle_job("second", 3)).wait();
-        let after = engine.stats();
-        assert_eq!(
-            after.executions, warm.executions,
-            "the repeat session must be fully memoized across shards"
-        );
-        assert!(after.cache_hits > warm.cache_hits);
-        assert_eq!(after.sessions_completed, 2, "fold sums across shards");
-        // All the work landed on the routed shard; the others stayed cold.
-        let hot = engine.shard_stats(shard);
-        assert_eq!(hot.sessions_completed, 2);
-        for other in (0..engine.shard_count()).filter(|&i| i != shard) {
-            assert_eq!(engine.shard_stats(other).executions, 0);
-        }
-        engine.shutdown();
-        let refused = engine
-            .try_submit(oracle_job("late", 3))
-            .expect_err("drained shards refuse");
-        assert!(refused.shutting_down);
-    }
-
-    /// The handle from a sharded engine is what `aid_serve`/`aid_watch`
-    /// hold: routed submission works through it, and its stats fold does
-    /// not multiply the shared pool's batch counters by the shard count.
-    #[test]
-    fn sharded_handle_submits_and_folds_pool_stats_once() {
-        let engine = ShardedEngine::new(
-            EngineConfig {
-                workers: 2,
-                ..EngineConfig::default()
-            },
-            2,
-        );
-        let handle = engine.handle();
-        let results: Vec<SessionResult> =
-            handle.run_all((0..4).map(|i| oracle_job("h", i)).collect());
-        assert_eq!(results.len(), 4);
-        let folded = handle.stats();
-        assert_eq!(folded.sessions_completed, 4);
-        let per_shard: u64 = (0..engine.shard_count())
-            .map(|i| engine.shard_stats(i).sessions_completed)
-            .sum();
-        assert_eq!(per_shard, 4);
-        assert_eq!(
-            folded.wall_batches,
-            engine.shard_stats(0).wall_batches,
-            "pool metrics are shared, not summed"
-        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! `aid_obs` — the unified telemetry plane.
 //!
-//! Every tier of the service — reactor, handler pool, sharded engine,
-//! columnar store, watchers — used to report through its own ad-hoc
-//! struct of counters. This crate replaces those with one substrate:
+//! Every tier of the service — reactor, handler pool, engine, columnar
+//! store, watchers — used to report through its own ad-hoc struct of
+//! counters. This crate replaces those with one substrate:
 //!
 //! 1. **A metrics registry** ([`MetricsRegistry`]) of named atomic
 //!    counters, gauges, and fixed-bucket log-scale latency histograms.
@@ -13,23 +13,17 @@
 //!    a *consistent* [`MetricsSnapshot`]: every histogram's bucket sum
 //!    equals its recorded count (no torn reads), so p50/p90/p99/max are
 //!    recoverable exactly from the frozen buckets.
-//! 2. **Span tracing** ([`span!`], [`SpanGuard`]) — RAII guards that
-//!    record `(name, start, duration)` into a bounded per-thread ring
-//!    journal, drainable into a time-ordered [`Timeline`] so a discovery
-//!    session's ingest → extract → schedule → execute → cache-fill
-//!    stages can be read off one trace.
-//! 3. **Exposition** — [`MetricsSnapshot::render_prometheus`] renders a
+//! 2. **Exposition** — [`MetricsSnapshot::render_prometheus`] renders a
 //!    snapshot in the Prometheus text format; `aid_serve` carries the
 //!    same snapshot over the wire in its `Metrics`/`MetricsReply` frame
 //!    pair so operators can scrape live servers.
 //!
-//! Histograms and spans honor the `AID_OBS` environment variable:
-//! `AID_OBS=off` (or `0`/`false`) makes every `record` and `span!` a
-//! no-op behind a single cached bool. Counters and gauges are *always*
-//! live — they are the single source of truth behind the legacy stats
-//! structs (`ServerStats`, `EngineStats`, `ColumnStats`, `WatchStats`),
-//! which now read through registry handles rather than their own
-//! atomics.
+//! Histograms honor the `AID_OBS` environment variable: `AID_OBS=off`
+//! (or `0`/`false`) makes every `record` a no-op behind a single cached
+//! bool. Counters and gauges are *always* live — they are the single
+//! source of truth behind the stats structs (`ServerStats`,
+//! `EngineStats`, `ColumnStats`, `WatchStats`), which read through
+//! registry handles rather than their own atomics.
 //!
 //! ```
 //! use aid_obs::MetricsRegistry;
@@ -50,10 +44,8 @@
 //! ```
 
 pub mod registry;
-pub mod span;
 
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricEntry, MetricValue, MetricsRegistry,
     MetricsSnapshot, HISTOGRAM_BUCKETS,
 };
-pub use span::{drain_timeline, spans_enabled, SpanGuard, SpanRecord, Timeline, JOURNAL_CAPACITY};

@@ -5,10 +5,11 @@
 //!
 //! Metric names are dotted paths, `tier.component.metric`, with the unit
 //! as a suffix where one applies (`serve.frame_us`,
-//! `engine.shard0.cache.lease_wait_us`, `store.refresh_us`). Sharded
-//! components embed the shard index in the path segment (`shard0`,
-//! `shard1`, …) so a snapshot is a flat, greppable namespace. The
-//! Prometheus renderer maps any character outside `[a-zA-Z0-9_]` to `_`.
+//! `engine.shard0.cache.lease_wait_us`, `store.refresh_us`). Repeated
+//! components embed their index in the path segment
+//! (`engine.pool.worker0.tasks`, `worker1`, …) so a snapshot is a flat,
+//! greppable namespace. The Prometheus renderer maps any character
+//! outside `[a-zA-Z0-9_]` to `_`.
 //!
 //! # Histogram layout
 //!
@@ -437,7 +438,7 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// A registry whose histogram/span gate follows the `AID_OBS`
+    /// A registry whose histogram gate follows the `AID_OBS`
     /// environment variable (`off`/`0`/`false` disable; default on).
     pub fn from_env() -> MetricsRegistry {
         MetricsRegistry::new(env_enabled())
@@ -524,9 +525,9 @@ impl MetricsRegistry {
     }
 }
 
-/// The process-wide `AID_OBS` gate (histograms and spans; counters are
+/// The process-wide `AID_OBS` gate (histograms only; counters are
 /// never gated). Read once.
-pub(crate) fn env_enabled() -> bool {
+fn env_enabled() -> bool {
     use std::sync::OnceLock;
     static ENABLED: OnceLock<bool> = OnceLock::new();
     *ENABLED.get_or_init(|| {

@@ -16,8 +16,9 @@
 //!   lets different clients replaying the same scenario share the
 //!   engine's intervention cache.
 //! * **Transports** ([`transport`]) — an in-process duplex pair for
-//!   deterministic tests and a thread-per-connection TCP listener for
-//!   real clients (blocking std networking; no async runtime).
+//!   deterministic tests and a TCP listener for real clients, both
+//!   driven by one readiness reactor on the server side (std networking
+//!   plus `poll(2)`; no async runtime).
 //! * **Server** ([`server`]) — one shared `aid_engine::Engine`, a
 //!   per-connection `aid_store::TraceStore`, and two-level admission
 //!   control (per-client session bound, engine `max_pending` via the
@@ -66,12 +67,11 @@ pub use client::{
     Admission, AidClient, ClientError, Overload, SubmitSpec, TailReport, UploadReport, WatchSpec,
 };
 pub use protocol::{
-    AnalysisSpec, ErrorCode, OverloadScope, ProgramSpec, Request, Response, ServerStats,
-    SessionState,
+    AnalysisSpec, ErrorCode, OverloadScope, ProgramSpec, Request, Response, SessionState,
 };
-pub use server::{ServeConfig, Server, ServerHandle};
+pub use server::{ServeConfig, Server, ServerHandle, ServerStats};
 pub use transport::{
-    duplex, in_proc, Deadline, DuplexStream, EventConn, InProcConnector, InProcListener, Listener,
-    Readiness, ReadySignal, TcpTransport,
+    duplex, in_proc, DuplexStream, EventConn, InProcConnector, InProcListener, Listener, Readiness,
+    ReadySignal, TcpTransport,
 };
 pub use wire::{FrameAccum, FrameError, WireError, PROTOCOL_VERSION};

@@ -408,8 +408,6 @@ pub enum Request {
         /// The session id from `Submitted`.
         session: u32,
     },
-    /// Requests the server-wide telemetry snapshot.
-    Stats,
     /// Abandons a session: frees its admission slot and discards the
     /// result (the engine still runs it to completion internally).
     Cancel {
@@ -470,9 +468,8 @@ pub enum Request {
     },
     /// Requests the unified telemetry snapshot: every registered counter,
     /// gauge and latency histogram across the reactor, handler pool,
-    /// engine shards, stores and watchers, taken consistently under the
-    /// registry lock. `Stats` remains the fixed-layout summary; this is
-    /// the full plane.
+    /// engine, stores and watchers, taken consistently under the registry
+    /// lock. Clients derive [`crate::ServerStats`] from it.
     Metrics,
 }
 
@@ -483,7 +480,9 @@ const REQ_FINISH_UPLOAD: u8 = 4;
 const REQ_SUBMIT: u8 = 5;
 const REQ_POLL: u8 = 6;
 const REQ_STREAM: u8 = 7;
-const REQ_STATS: u8 = 8;
+// 8 is unassigned: it was the retired fixed-layout `Stats` request, and
+// a frame of that kind now gets the `Malformed` reply any unknown kind
+// gets.
 const REQ_CANCEL: u8 = 9;
 const REQ_GOODBYE: u8 = 10;
 const REQ_SUBSCRIBE: u8 = 11;
@@ -535,7 +534,6 @@ impl Request {
                 p.put_u32_le(*session);
                 REQ_STREAM
             }
-            Request::Stats => REQ_STATS,
             Request::Cancel { session } => {
                 p.put_u32_le(*session);
                 REQ_CANCEL
@@ -605,7 +603,6 @@ impl Request {
             },
             REQ_POLL => Request::Poll { session: r.u32()? },
             REQ_STREAM => Request::Stream { session: r.u32()? },
-            REQ_STATS => Request::Stats,
             REQ_CANCEL => Request::Cancel { session: r.u32()? },
             REQ_GOODBYE => Request::Goodbye,
             REQ_SUBSCRIBE => Request::Subscribe {
@@ -748,190 +745,6 @@ fn get_error_code(r: &mut Reader<'_>) -> Result<ErrorCode, WireError> {
             tag,
         }),
     }
-}
-
-/// The server-wide telemetry snapshot: connection/frame/upload/session
-/// counters plus the shared engine's execution and cache counters, folded
-/// into one wire-encodable record.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct ServerStats {
-    /// Connections accepted since start.
-    pub connections: u64,
-    /// Connections refused at the connection cap.
-    pub connections_refused: u64,
-    /// Connections currently open.
-    pub active_connections: u64,
-    /// Request frames read.
-    pub frames_in: u64,
-    /// Response frames written.
-    pub frames_out: u64,
-    /// Payload + header bytes read.
-    pub bytes_in: u64,
-    /// Payload + header bytes written.
-    pub bytes_out: u64,
-    /// Upload chunks ingested.
-    pub upload_chunks: u64,
-    /// Complete traces ingested across all clients.
-    pub traces_ingested: u64,
-    /// Records quarantined by streaming ingestion across all clients.
-    pub records_quarantined: u64,
-    /// Sessions admitted to the engine.
-    pub sessions_accepted: u64,
-    /// Submissions refused at the per-client bound.
-    pub rejected_client: u64,
-    /// Submissions refused by engine saturation or drain.
-    pub rejected_engine: u64,
-    /// Sessions cancelled by their client.
-    pub sessions_cancelled: u64,
-    /// Results delivered to clients.
-    pub sessions_delivered: u64,
-    /// Sessions that died without a result.
-    pub sessions_lost: u64,
-    /// Malformed frames / transport violations observed.
-    pub protocol_errors: u64,
-    /// Engine: real executions performed.
-    pub executions: u64,
-    /// Engine: intervention-cache hits.
-    pub cache_hits: u64,
-    /// Engine: intervention-cache misses.
-    pub cache_misses: u64,
-    /// Engine: records resident in the intervention cache.
-    pub cache_entries: u64,
-    /// Engine: sessions completed.
-    pub sessions_completed: u64,
-    /// Engine: highest simultaneously-pending session count observed.
-    pub peak_pending: u64,
-    // --- appended by the streaming protocol revision (new fields go at
-    // the end: the stats payload is a flat u64 list in declaration order).
-    /// Stores: traces evicted by windowed retention, across connections.
-    pub store_evicted: u64,
-    /// Stores: shard compaction passes that evicted at least one trace.
-    pub store_compactions: u64,
-    /// Standing queries: candidate predicates re-probed after a delta.
-    pub view_reprobed: u64,
-    /// Standing queries: candidate predicates skipped as unchanged.
-    pub view_skipped: u64,
-    /// Standing queries opened.
-    pub watches_subscribed: u64,
-    /// Watch events emitted to clients.
-    pub watch_events: u64,
-    // --- appended by the reactor revision. (The thread-per-connection
-    // era's `idle_ticks` field, permanently zero under the reactor, was
-    // removed from the struct; its wire slot is retained as a reserved
-    // zero so the flat u64 layout below keeps every later field's index.)
-    /// Engine shards the server routes across (1 = unsharded).
-    pub engine_shards: u64,
-    /// Highest simultaneously-open connection count observed.
-    pub peak_connections: u64,
-    /// Requests shipped from the reactor to the handler pool — the
-    /// reactor's "wakeups that cost CPU" measure; an idle connection
-    /// contributes zero between frames.
-    pub handler_dispatches: u64,
-}
-
-impl ServerStats {
-    /// Cache hit fraction in `[0, 1]`.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// All submissions refused, across scopes.
-    pub fn rejections(&self) -> u64 {
-        self.rejected_client + self.rejected_engine
-    }
-}
-
-fn put_stats(buf: &mut Vec<u8>, s: &ServerStats) {
-    for v in [
-        s.connections,
-        s.connections_refused,
-        s.active_connections,
-        s.frames_in,
-        s.frames_out,
-        s.bytes_in,
-        s.bytes_out,
-        s.upload_chunks,
-        s.traces_ingested,
-        s.records_quarantined,
-        s.sessions_accepted,
-        s.rejected_client,
-        s.rejected_engine,
-        s.sessions_cancelled,
-        s.sessions_delivered,
-        s.sessions_lost,
-        s.protocol_errors,
-        s.executions,
-        s.cache_hits,
-        s.cache_misses,
-        s.cache_entries,
-        s.sessions_completed,
-        s.peak_pending,
-        s.store_evicted,
-        s.store_compactions,
-        s.view_reprobed,
-        s.view_skipped,
-        s.watches_subscribed,
-        s.watch_events,
-        // Reserved: the retired `idle_ticks` slot (always zero).
-        0,
-        s.engine_shards,
-        s.peak_connections,
-        s.handler_dispatches,
-    ] {
-        buf.put_u64_le(v);
-    }
-}
-
-fn get_stats(r: &mut Reader<'_>) -> Result<ServerStats, WireError> {
-    let mut stats = ServerStats {
-        connections: r.u64()?,
-        connections_refused: r.u64()?,
-        active_connections: r.u64()?,
-        frames_in: r.u64()?,
-        frames_out: r.u64()?,
-        bytes_in: r.u64()?,
-        bytes_out: r.u64()?,
-        upload_chunks: r.u64()?,
-        traces_ingested: r.u64()?,
-        records_quarantined: r.u64()?,
-        sessions_accepted: r.u64()?,
-        rejected_client: r.u64()?,
-        rejected_engine: r.u64()?,
-        sessions_cancelled: r.u64()?,
-        sessions_delivered: r.u64()?,
-        sessions_lost: r.u64()?,
-        protocol_errors: r.u64()?,
-        executions: r.u64()?,
-        cache_hits: r.u64()?,
-        cache_misses: r.u64()?,
-        cache_entries: r.u64()?,
-        sessions_completed: r.u64()?,
-        peak_pending: r.u64()?,
-        store_evicted: r.u64()?,
-        store_compactions: r.u64()?,
-        view_reprobed: r.u64()?,
-        view_skipped: r.u64()?,
-        watches_subscribed: r.u64()?,
-        watch_events: r.u64()?,
-        engine_shards: 0,
-        peak_connections: 0,
-        handler_dispatches: 0,
-    };
-    // Tail tolerance: the stats payload grows by appending u64 slots, and
-    // a failed `take` never advances the reader, so a shorter frame from
-    // an older server decodes with the missing tail as zero and still
-    // passes `expect_empty`. The first tail slot is the retired
-    // `idle_ticks` field, kept as a reserved zero on encode.
-    let _reserved_idle_ticks = r.u64().unwrap_or(0);
-    stats.engine_shards = r.u64().unwrap_or(0);
-    stats.peak_connections = r.u64().unwrap_or(0);
-    stats.handler_dispatches = r.u64().unwrap_or(0);
-    Ok(stats)
 }
 
 fn put_metric_value(buf: &mut Vec<u8>, value: &MetricValue) {
@@ -1080,8 +893,6 @@ pub enum Response {
         /// Engine sessions completed so far (server-wide).
         sessions_completed: u64,
     },
-    /// Answer to `Stats`.
-    StatsOk(ServerStats),
     /// Answer to `Cancel`.
     Cancelled {
         /// The cancelled session id.
@@ -1132,7 +943,7 @@ const RESP_SUBMITTED: u8 = 3;
 const RESP_OVERLOADED: u8 = 4;
 const RESP_STATUS: u8 = 5;
 const RESP_PROGRESS: u8 = 6;
-const RESP_STATS_OK: u8 = 7;
+// 7 is unassigned: it was the reply to the retired `Stats` request.
 const RESP_CANCELLED: u8 = 8;
 const RESP_ERROR: u8 = 9;
 const RESP_BYE: u8 = 10;
@@ -1203,10 +1014,6 @@ impl Response {
                 p.put_u64_le(*cache_hits);
                 p.put_u64_le(*sessions_completed);
                 RESP_PROGRESS
-            }
-            Response::StatsOk(stats) => {
-                put_stats(&mut p, stats);
-                RESP_STATS_OK
             }
             Response::Cancelled { session, existed } => {
                 p.put_u32_le(*session);
@@ -1296,7 +1103,6 @@ impl Response {
                 cache_hits: r.u64()?,
                 sessions_completed: r.u64()?,
             },
-            RESP_STATS_OK => Response::StatsOk(get_stats(&mut r)?),
             RESP_CANCELLED => Response::Cancelled {
                 session: r.u32()?,
                 existed: r.bool("cancel existed flag")?,
@@ -1500,43 +1306,9 @@ mod tests {
         ));
     }
 
-    /// A stats frame from the thread-per-connection era — 30 u64 slots
-    /// ending at the (then-live) `idle_ticks` counter — still decodes:
-    /// the reserved slot is discarded and the reactor-era tail fields
-    /// come back zero.
-    #[test]
-    fn pre_reactor_stats_frames_still_decode() {
-        let stats = ServerStats {
-            connections: 7,
-            frames_in: 21,
-            watch_events: 5,
-            engine_shards: 4,
-            peak_connections: 3,
-            handler_dispatches: 19,
-            ..ServerStats::default()
-        };
-        let mut bytes = Response::StatsOk(stats.clone()).encode();
-        // Truncate to the 30-slot layout (the 30th slot is the reserved
-        // zero that was `idle_ticks`) and fix up the length field.
-        bytes.truncate(wire::HEADER_LEN + 30 * 8);
-        let len = (bytes.len() - wire::HEADER_LEN) as u32;
-        bytes[6..10].copy_from_slice(&len.to_le_bytes());
-        let (back, _) = Response::decode(&bytes, wire::DEFAULT_MAX_FRAME_LEN).unwrap();
-        let Response::StatsOk(back) = back else {
-            panic!("expected StatsOk, got {back:?}");
-        };
-        assert_eq!(back.connections, 7);
-        assert_eq!(back.frames_in, 21);
-        assert_eq!(back.watch_events, 5);
-        // The reactor-era tail was not on the wire: it decodes as zero.
-        assert_eq!(back.engine_shards, 0);
-        assert_eq!(back.peak_connections, 0);
-        assert_eq!(back.handler_dispatches, 0);
-    }
-
     #[test]
     fn trailing_payload_bytes_are_rejected() {
-        let mut bytes = Request::Stats.encode();
+        let mut bytes = Request::Metrics.encode();
         // Grow the payload by one byte and fix up the length field.
         bytes.push(0xAA);
         let len = (bytes.len() - wire::HEADER_LEN) as u32;

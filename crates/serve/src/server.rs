@@ -1,5 +1,5 @@
 //! The session server: one readiness-driven reactor thread multiplexing
-//! every connection, a handler pool for request work, a sharded engine,
+//! every connection, a handler pool for request work, one shared engine,
 //! and a per-connection [`TraceStore`]/analysis.
 //!
 //! **Reactor.** Connections are nonblocking per-connection state machines
@@ -10,17 +10,16 @@
 //! request may legitimately block (a watch tick runs discovery probes to
 //! completion); the reactor itself never does.
 //!
-//! **Sharding.** The engine is a [`ShardedEngine`]: N intervention-cache
-//! partitions over one worker pool, routed by the program+catalog+failure
-//! fingerprint, so identical recipes from any client (one-shot *and*
-//! watcher re-probes) land on the same shard and cache entry.
+//! **Engine.** Every connection submits to one [`Engine`], so identical
+//! recipes from any client (one-shot *and* watcher re-probes) meet in one
+//! intervention cache, which splits its own lock `cache_shards` ways.
 //!
 //! **Admission control.** Three bounds shed load with typed replies
 //! instead of queueing unboundedly:
 //!
 //! 1. *per connection* — at most `max_sessions_per_client` undelivered
 //!    sessions; a result frees its slot when the client polls it.
-//! 2. *server-wide* — each shard's `max_pending` bound, enforced through
+//! 2. *server-wide* — the engine's `max_pending` bound, enforced through
 //!    the non-blocking `try_submit` so submission bursts never block
 //!    handler threads.
 //! 3. *connections* — a CAS reservation on `active_connections` (no
@@ -34,14 +33,16 @@
 
 use crate::protocol::{
     options_from_wire, AnalysisSpec, ErrorCode, OverloadScope, ProgramSpec, Request, Response,
-    ServerStats, SessionState,
+    SessionState,
 };
 use crate::transport::{EventConn, Listener, ReadySignal};
 use crate::wire::{self, PROTOCOL_VERSION};
 use aid_cases::all_cases;
 use aid_core::Strategy;
-use aid_engine::{DiscoveryJob, EngineConfig, EngineHandle, Session, SessionPoll, ShardedEngine};
-use aid_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use aid_engine::{
+    DiscoveryJob, Engine, EngineConfig, EngineHandle, Session, SessionPoll, METRICS_PREFIX,
+};
+use aid_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 use aid_sim::Simulator;
 use aid_store::{RetentionPolicy, StoreConfig, TraceStore};
 use aid_synth::SynthParams;
@@ -81,12 +82,6 @@ pub struct ServeConfig {
     pub max_frame_len: usize,
     /// Cadence of `Progress` frames while serving a `Stream` request.
     pub stream_poll: Duration,
-    /// Engine shards: independent intervention-cache partitions over one
-    /// shared worker pool, consistent-hashed by job fingerprint. Each
-    /// shard gets the full `engine.max_pending` budget (a popular recipe
-    /// routes every client to one shard; dividing the budget would shed
-    /// exactly that workload). `0` is treated as 1.
-    pub engine_shards: usize,
     /// Handler pool size; `0` picks `max(4, engine.workers)`. Handlers
     /// run request work the reactor must not block on (uploads, watch
     /// ticks); they are I/O-parked most of the time, so the pool sits
@@ -113,7 +108,6 @@ impl Default for ServeConfig {
             max_upload_bytes: 64 << 20,
             max_frame_len: wire::DEFAULT_MAX_FRAME_LEN,
             stream_poll: Duration::from_millis(1),
-            engine_shards: 4,
             handler_threads: 0,
             server_name: "aid-serve".to_string(),
             backend: aid_sim::Backend::default(),
@@ -122,9 +116,9 @@ impl Default for ServeConfig {
 }
 
 /// Lock-free server-side counters (the non-engine half of
-/// [`ServerStats`]), held as [`aid_obs`] registry handles: the wire
-/// `Stats` reply and the `Metrics` exposition read the same cells, so
-/// the two can never disagree.
+/// [`ServerStats`]), held as [`aid_obs`] registry handles: the summary
+/// is read back out of a registry snapshot, so it and the `Metrics`
+/// exposition can never disagree.
 pub(crate) struct Counters {
     pub(crate) connections: Counter,
     pub(crate) connections_refused: Counter,
@@ -244,6 +238,135 @@ impl Counters {
     }
 }
 
+/// The server-wide telemetry summary: connection/frame/upload/session
+/// counters plus the engine's execution and cache counters. Every field
+/// is one `aid_obs` registry cell, read by name from a
+/// [`MetricsSnapshot`] ([`ServerStats::from_snapshot`]), so the summary a
+/// server reports in-process and the one a client derives from a
+/// `Metrics` frame are the same numbers.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ServerStats {
+    /// Connections accepted since start.
+    pub connections: u64,
+    /// Connections refused at the connection cap.
+    pub connections_refused: u64,
+    /// Connections currently open.
+    pub active_connections: u64,
+    /// Request frames read.
+    pub frames_in: u64,
+    /// Response frames written.
+    pub frames_out: u64,
+    /// Payload + header bytes read.
+    pub bytes_in: u64,
+    /// Payload + header bytes written.
+    pub bytes_out: u64,
+    /// Upload chunks ingested.
+    pub upload_chunks: u64,
+    /// Complete traces ingested across all clients.
+    pub traces_ingested: u64,
+    /// Records quarantined by streaming ingestion across all clients.
+    pub records_quarantined: u64,
+    /// Sessions admitted to the engine.
+    pub sessions_accepted: u64,
+    /// Submissions refused at the per-client bound.
+    pub rejected_client: u64,
+    /// Submissions refused by engine saturation or drain.
+    pub rejected_engine: u64,
+    /// Sessions cancelled by their client.
+    pub sessions_cancelled: u64,
+    /// Results delivered to clients.
+    pub sessions_delivered: u64,
+    /// Sessions that died without a result.
+    pub sessions_lost: u64,
+    /// Malformed frames / transport violations observed.
+    pub protocol_errors: u64,
+    /// Engine: real executions performed.
+    pub executions: u64,
+    /// Engine: intervention-cache hits.
+    pub cache_hits: u64,
+    /// Engine: intervention-cache misses.
+    pub cache_misses: u64,
+    /// Engine: sessions completed.
+    pub sessions_completed: u64,
+    /// Engine: highest simultaneously-pending session count observed.
+    pub peak_pending: u64,
+    /// Stores: traces evicted by windowed retention, across connections.
+    pub store_evicted: u64,
+    /// Stores: shard compaction passes that evicted at least one trace.
+    pub store_compactions: u64,
+    /// Standing queries: candidate predicates re-probed after a delta.
+    pub view_reprobed: u64,
+    /// Standing queries: candidate predicates skipped as unchanged.
+    pub view_skipped: u64,
+    /// Standing queries opened.
+    pub watches_subscribed: u64,
+    /// Watch events emitted to clients.
+    pub watch_events: u64,
+    /// Highest simultaneously-open connection count observed.
+    pub peak_connections: u64,
+    /// Requests shipped from the reactor to the handler pool — the
+    /// reactor's "wakeups that cost CPU" measure; an idle connection
+    /// contributes zero between frames.
+    pub handler_dispatches: u64,
+}
+
+impl ServerStats {
+    /// Cache hit fraction in `[0, 1]`.
+    pub fn cache_hit_rate(&self) -> f64 {
+        let total = self.cache_hits + self.cache_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.cache_hits as f64 / total as f64
+        }
+    }
+
+    /// All submissions refused, across scopes.
+    pub fn rejections(&self) -> u64 {
+        self.rejected_client + self.rejected_engine
+    }
+
+    /// Reads the summary out of a registry snapshot. A cell missing from
+    /// the snapshot (a registry that never registered it) reads as zero.
+    pub fn from_snapshot(snapshot: &MetricsSnapshot) -> ServerStats {
+        let counter = |name: &str| snapshot.counter(name).unwrap_or(0);
+        let gauge = |name: &str| snapshot.gauge(name).unwrap_or(0);
+        let engine = |name: &str| format!("{METRICS_PREFIX}.{name}");
+        ServerStats {
+            connections: counter("serve.connections"),
+            connections_refused: counter("serve.connections_refused"),
+            active_connections: gauge("serve.active_connections"),
+            frames_in: counter("serve.frames_in"),
+            frames_out: counter("serve.frames_out"),
+            bytes_in: counter("serve.bytes_in"),
+            bytes_out: counter("serve.bytes_out"),
+            upload_chunks: counter("serve.upload_chunks"),
+            traces_ingested: counter("serve.traces_ingested"),
+            records_quarantined: counter("serve.records_quarantined"),
+            sessions_accepted: counter("serve.sessions_accepted"),
+            rejected_client: counter("serve.rejected_client"),
+            rejected_engine: counter("serve.rejected_engine"),
+            sessions_cancelled: counter("serve.sessions_cancelled"),
+            sessions_delivered: counter("serve.sessions_delivered"),
+            sessions_lost: counter("serve.sessions_lost"),
+            protocol_errors: counter("serve.protocol_errors"),
+            executions: counter(&engine("executions")),
+            cache_hits: counter(&engine("cache.hits")),
+            cache_misses: counter(&engine("cache.misses")),
+            sessions_completed: counter(&engine("sessions_completed")),
+            peak_pending: gauge(&engine("peak_pending")),
+            store_evicted: counter("serve.store.evicted"),
+            store_compactions: counter("serve.store.compactions"),
+            view_reprobed: counter("serve.view.reprobed"),
+            view_skipped: counter("serve.view.skipped"),
+            watches_subscribed: counter("serve.watches_subscribed"),
+            watch_events: counter("serve.watch_events"),
+            peak_connections: gauge("serve.peak_connections"),
+            handler_dispatches: counter("serve.handler_dispatches"),
+        }
+    }
+}
+
 /// The server's latency histograms, one handle per timed path. Registered
 /// alongside [`Counters`] so a single snapshot carries both.
 pub(crate) struct Timings {
@@ -276,10 +399,10 @@ impl Timings {
 
 pub(crate) struct ServerShared {
     pub(crate) config: ServeConfig,
-    pub(crate) engine: ShardedEngine,
+    pub(crate) engine: Engine,
     pub(crate) counters: Counters,
     pub(crate) timings: Timings,
-    /// The unified registry: engine shards, pool, store and serve tiers
+    /// The unified registry: engine, pool, store and serve tiers
     /// all register here, so one snapshot is the whole server.
     pub(crate) metrics: Arc<MetricsRegistry>,
     pub(crate) shutdown: AtomicBool,
@@ -297,45 +420,6 @@ impl ServerShared {
             self.config.engine.workers.max(4)
         }
     }
-
-    pub(crate) fn stats(&self) -> ServerStats {
-        let c = &self.counters;
-        let e = self.engine.stats();
-        ServerStats {
-            connections: c.connections.get(),
-            connections_refused: c.connections_refused.get(),
-            active_connections: c.active_connections.get(),
-            frames_in: c.frames_in.get(),
-            frames_out: c.frames_out.get(),
-            bytes_in: c.bytes_in.get(),
-            bytes_out: c.bytes_out.get(),
-            upload_chunks: c.upload_chunks.get(),
-            traces_ingested: c.traces_ingested.get(),
-            records_quarantined: c.records_quarantined.get(),
-            sessions_accepted: c.sessions_accepted.get(),
-            rejected_client: c.rejected_client.get(),
-            rejected_engine: c.rejected_engine.get(),
-            sessions_cancelled: c.sessions_cancelled.get(),
-            sessions_delivered: c.sessions_delivered.get(),
-            sessions_lost: c.sessions_lost.get(),
-            protocol_errors: c.protocol_errors.get(),
-            executions: e.executions,
-            cache_hits: e.cache_hits,
-            cache_misses: e.cache_misses,
-            cache_entries: e.cache_entries as u64,
-            sessions_completed: e.sessions_completed,
-            peak_pending: e.peak_pending,
-            store_evicted: c.store_evicted.get(),
-            store_compactions: c.store_compactions.get(),
-            view_reprobed: c.view_reprobed.get(),
-            view_skipped: c.view_skipped.get(),
-            watches_subscribed: c.watches_subscribed.get(),
-            watch_events: c.watch_events.get(),
-            engine_shards: self.engine.shard_count() as u64,
-            peak_connections: c.peak_connections.get(),
-            handler_dispatches: c.handler_dispatches.get(),
-        }
-    }
 }
 
 /// Builder entry points for a running server.
@@ -350,8 +434,7 @@ impl Server {
         L::Conn: EventConn,
     {
         let metrics = Arc::new(MetricsRegistry::from_env());
-        let engine =
-            ShardedEngine::with_metrics(config.engine, config.engine_shards, Arc::clone(&metrics));
+        let engine = Engine::with_metrics(config.engine, Arc::clone(&metrics));
         let shared = Arc::new(ServerShared {
             config,
             engine,
@@ -404,9 +487,10 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// A live telemetry snapshot (no client round-trip).
+    /// A live telemetry summary (no client round-trip), read from the
+    /// same registry a `Metrics` frame carries.
     pub fn stats(&self) -> ServerStats {
-        self.shared.stats()
+        ServerStats::from_snapshot(&self.shared.metrics.snapshot())
     }
 
     /// Graceful drain: stops accepting, closes idle and streaming
@@ -418,7 +502,7 @@ impl ServerHandle {
     /// snapshot.
     pub fn shutdown(mut self) -> ServerStats {
         self.drain();
-        self.shared.stats()
+        self.stats()
     }
 
     fn drain(&mut self) {
@@ -661,9 +745,6 @@ pub(crate) fn handle_request(
             // streaming client can no longer hold shutdown open until
             // its session terminates).
             return (out, After::Stream { session });
-        }
-        Request::Stats => {
-            send(Response::StatsOk(shared.stats()));
         }
         Request::Metrics => {
             send(Response::MetricsReply(shared.metrics.snapshot()));

@@ -1,11 +1,12 @@
 //! Connection transports: an in-process duplex pipe for deterministic
 //! tests and a loopback/LAN TCP listener for real clients.
 //!
-//! Both sides of every transport are plain blocking [`io::Read`] +
-//! [`io::Write`] byte streams, so the frame layer ([`crate::wire`]) and
-//! everything above it is transport-agnostic. The server accepts through
-//! the [`Listener`] trait, whose `accept_timeout` lets the acceptor thread
-//! poll its shutdown flag without busy-spinning or blocking forever.
+//! Both sides of every transport are plain [`io::Read`] + [`io::Write`]
+//! byte streams, so the frame layer ([`crate::wire`]) and everything
+//! above it is transport-agnostic. The server's reactor registers each
+//! [`Listener`] and every accepted [`EventConn`] for readiness, switches
+//! accepted connections to nonblocking mode, and drives them all from
+//! one thread; clients use the same streams in blocking mode.
 
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
@@ -14,45 +15,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// Read timeout installed on every *accepted* connection, so server
-/// handler threads wake periodically to poll the drain flag instead of
-/// blocking in a read forever when a client goes idle or silent.
-/// (Client-side connections set no timeout: a client legitimately blocks
-/// for as long as a streamed session takes.) This is the *floor*: an idle
-/// connection's timeout backs off exponentially up to
-/// [`MAX_IDLE_READ_TIMEOUT`] and snaps back on traffic, so a thousand
-/// idle connections cost ~1 wakeup/s each instead of 10.
-pub const ACCEPTED_READ_TIMEOUT: Duration = Duration::from_millis(100);
-
-/// Ceiling of the idle read-timeout backoff. Also the worst-case extra
-/// latency before an idle handler notices the drain flag — shutdown stays
-/// prompt at one second.
-pub const MAX_IDLE_READ_TIMEOUT: Duration = Duration::from_millis(1000);
-
-/// Per-connection read-deadline control, required of every accepted
-/// connection so the server can back its idle poll off exponentially.
-pub trait Deadline {
-    /// Bounds how long a read blocks; `None` blocks indefinitely.
-    fn set_read_deadline(&mut self, timeout: Option<Duration>) -> io::Result<()>;
-}
-
-impl Deadline for DuplexStream {
-    fn set_read_deadline(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout);
-        Ok(())
-    }
-}
-
-impl Deadline for std::net::TcpStream {
-    fn set_read_deadline(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
-    }
-}
-
 /// A source of inbound connections the server can accept from.
 pub trait Listener: Send + 'static {
     /// The byte-stream type a successful accept yields.
-    type Conn: io::Read + io::Write + Deadline + Send + 'static;
+    type Conn: io::Read + io::Write + Send + 'static;
 
     /// Waits up to `timeout` for the next connection. `Ok(None)` means the
     /// timeout elapsed (poll your shutdown flag and call again); `Err`
@@ -146,7 +112,7 @@ pub enum Readiness {
 /// The blocking `io::Read`/`io::Write` impls stay untouched — the
 /// thread-per-request client side and any code outside the reactor keep
 /// using the same streams in blocking mode.
-pub trait EventConn: io::Read + io::Write + Deadline + Send + 'static {
+pub trait EventConn: io::Read + io::Write + Send + 'static {
     /// Switches the connection to nonblocking mode: reads and writes that
     /// would park a thread fail with `ErrorKind::WouldBlock` instead.
     fn set_event_mode(&mut self) -> io::Result<()>;
@@ -197,14 +163,13 @@ impl Pipe {
 }
 
 /// One endpoint of an in-process duplex byte stream, created in pairs by
-/// [`duplex`]. Reads block until the peer writes or hangs up (or until
-/// the configured read timeout, mirroring `TcpStream::set_read_timeout`);
-/// dropping an endpoint closes both directions (the peer sees EOF on
-/// read and `BrokenPipe` on write), exactly like a socket.
+/// [`duplex`]. Reads block until the peer writes or hangs up (or fail
+/// with `WouldBlock` once [`EventConn::set_event_mode`] is on); dropping
+/// an endpoint closes both directions (the peer sees EOF on read and
+/// `BrokenPipe` on write), exactly like a socket.
 pub struct DuplexStream {
     read: Arc<Pipe>,
     write: Arc<Pipe>,
-    read_timeout: Option<Duration>,
     nonblocking: bool,
 }
 
@@ -216,25 +181,14 @@ pub fn duplex() -> (DuplexStream, DuplexStream) {
         DuplexStream {
             read: Arc::clone(&a),
             write: Arc::clone(&b),
-            read_timeout: None,
             nonblocking: false,
         },
         DuplexStream {
             read: b,
             write: a,
-            read_timeout: None,
             nonblocking: false,
         },
     )
-}
-
-impl DuplexStream {
-    /// Bounds how long a read blocks waiting for the peer; `None` (the
-    /// default) blocks indefinitely. A timed-out read fails with
-    /// `ErrorKind::TimedOut` and consumes nothing.
-    pub fn set_read_timeout(&mut self, timeout: Option<Duration>) {
-        self.read_timeout = timeout;
-    }
 }
 
 impl io::Read for DuplexStream {
@@ -253,19 +207,7 @@ impl io::Read for DuplexStream {
                     "duplex has no bytes buffered",
                 ));
             }
-            match self.read_timeout {
-                None => st = self.read.readable.wait(st).unwrap(),
-                Some(timeout) => {
-                    let (guard, result) = self.read.readable.wait_timeout(st, timeout).unwrap();
-                    st = guard;
-                    if result.timed_out() && st.buf.is_empty() && !st.closed {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "duplex read timed out",
-                        ));
-                    }
-                }
-            }
+            st = self.read.readable.wait(st).unwrap();
         }
         let n = buf.len().min(st.buf.len());
         for slot in buf.iter_mut().take(n) {
@@ -394,10 +336,7 @@ impl Listener for InProcListener {
 
     fn accept_timeout(&self, timeout: Duration) -> io::Result<Option<DuplexStream>> {
         match self.rx.recv_timeout(timeout) {
-            Ok(mut conn) => {
-                conn.set_read_timeout(Some(ACCEPTED_READ_TIMEOUT));
-                Ok(Some(conn))
-            }
+            Ok(conn) => Ok(Some(conn)),
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
@@ -424,8 +363,9 @@ impl Listener for InProcListener {
 // ---------------------------------------------------------------------------
 // TCP transport.
 
-/// A TCP listener adapter (thread-per-connection, blocking sockets,
-/// `TCP_NODELAY` — the protocol is request/response with small frames).
+/// A TCP listener adapter: the reactor polls the listener's fd and every
+/// accepted stream's fd, and accepted streams get `TCP_NODELAY` (the
+/// protocol is request/response with small frames).
 pub struct TcpTransport {
     listener: TcpListener,
     addr: SocketAddr,
@@ -436,8 +376,8 @@ impl TcpTransport {
     /// listener for timed accepts.
     pub fn bind(addr: impl ToSocketAddrs) -> io::Result<TcpTransport> {
         let listener = TcpListener::bind(addr)?;
-        // Nonblocking at the listener only: accepted streams are switched
-        // back to blocking before use.
+        // Nonblocking at the listener only: accepted streams start out
+        // blocking, and the reactor switches each to event mode.
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         Ok(TcpTransport { listener, addr })
@@ -463,7 +403,6 @@ impl Listener for TcpTransport {
                 Ok((stream, _peer)) => {
                     stream.set_nonblocking(false)?;
                     stream.set_nodelay(true)?;
-                    stream.set_read_timeout(Some(ACCEPTED_READ_TIMEOUT))?;
                     return Ok(Some(stream));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {

@@ -9,7 +9,10 @@ use aid_core::{DiscoveryResult, Phase, RoundLog, Strategy as DiscoveryStrategy};
 use aid_lab::{BugClass, ScenarioSpec};
 use aid_predicates::PredicateId;
 use aid_serve::wire::{self, WireError};
-use aid_serve::{AnalysisSpec, ProgramSpec, Request, Response, ServerStats, SessionState};
+use aid_serve::{
+    AnalysisSpec, HistogramSnapshot, MetricEntry, MetricValue, MetricsSnapshot, ProgramSpec,
+    Request, Response, SessionState,
+};
 use aid_trace::{FailureSignature, MethodId};
 use aid_watch::WatchEvent;
 use proptest::prelude::*;
@@ -91,7 +94,7 @@ fn build_request((selector, (a, b, c), alpha, bytes): RawRequest) -> Request {
         }
         5 => Request::Poll { session: c },
         6 => Request::Stream { session: c },
-        7 => Request::Stats,
+        7 => Request::Metrics,
         8 => Request::Cancel { session: c },
         9 => Request::Subscribe {
             name: name.clone(),
@@ -205,39 +208,29 @@ fn build_response((selector, (a, b, c), alpha, ids, ids2): RawResponse) -> Respo
             cache_hits: b,
             sessions_completed: a ^ b,
         },
-        6 => Response::StatsOk(ServerStats {
-            connections: a,
-            connections_refused: b % 23,
-            active_connections: b % 17,
-            frames_in: a ^ 1,
-            frames_out: b ^ 2,
-            bytes_in: a / 3,
-            bytes_out: b / 5,
-            upload_chunks: a % 999,
-            traces_ingested: b % 999,
-            records_quarantined: a % 7,
-            sessions_accepted: b % 101,
-            rejected_client: a % 11,
-            rejected_engine: b % 13,
-            sessions_cancelled: a % 5,
-            sessions_delivered: b % 97,
-            sessions_lost: a % 3,
-            protocol_errors: b % 2,
-            executions: a,
-            cache_hits: b,
-            cache_misses: a % 1000,
-            cache_entries: b % 1000,
-            sessions_completed: a % 500,
-            peak_pending: b % 64,
-            store_evicted: a % 333,
-            store_compactions: b % 19,
-            view_reprobed: a % 777,
-            view_skipped: b % 777,
-            watches_subscribed: a % 29,
-            watch_events: b % 555,
-            engine_shards: b % 16,
-            peak_connections: a % 512,
-            handler_dispatches: b % 4_096,
+        6 => Response::MetricsReply(MetricsSnapshot {
+            entries: vec![
+                MetricEntry {
+                    name: format!("serve.{name}"),
+                    value: MetricValue::Counter(a),
+                },
+                MetricEntry {
+                    name: format!("engine.{name}"),
+                    value: MetricValue::Gauge(b),
+                },
+                MetricEntry {
+                    name: "serve.frame_us".into(),
+                    value: MetricValue::Histogram(HistogramSnapshot {
+                        count: ids.len() as u64,
+                        sum: a,
+                        max: b,
+                        buckets: ids
+                            .iter()
+                            .map(|&i| ((i % 64) as u8, u64::from(i)))
+                            .collect(),
+                    }),
+                },
+            ],
         }),
         7 => Response::Cancelled {
             session: c,
