@@ -15,10 +15,12 @@
 //!   rebuild the intervention substrate bit-identically — which is what
 //!   lets different clients replaying the same scenario share the
 //!   engine's intervention cache.
-//! * **Transports** ([`transport`]) — an in-process duplex pair for
-//!   deterministic tests and a TCP listener for real clients, both
-//!   driven by one readiness reactor on the server side (std networking
-//!   plus `poll(2)`; no async runtime).
+//! * **Transports** — an in-process duplex pair ([`InProcConnector`],
+//!   [`DuplexStream`]) for deterministic tests and a TCP listener for
+//!   real clients, both driven by one readiness reactor on the server
+//!   side (std networking plus `poll(2)`; no async runtime). Serving is
+//!   unix-only: the reactor's one park is `poll(2)` over a unix socket
+//!   pair waker.
 //! * **Server** ([`server`]) — one shared `aid_engine::Engine`, a
 //!   per-connection `aid_store::TraceStore`, and two-level admission
 //!   control (per-client session bound, engine `max_pending` via the
@@ -59,7 +61,7 @@ pub mod client;
 pub mod protocol;
 mod reactor;
 pub mod server;
-pub mod transport;
+mod transport;
 pub mod wire;
 
 pub use aid_obs::{HistogramSnapshot, MetricEntry, MetricValue, MetricsSnapshot};
@@ -70,8 +72,5 @@ pub use protocol::{
     AnalysisSpec, ErrorCode, OverloadScope, ProgramSpec, Request, Response, SessionState,
 };
 pub use server::{ServeConfig, Server, ServerHandle, ServerStats};
-pub use transport::{
-    duplex, in_proc, DuplexStream, EventConn, InProcConnector, InProcListener, Listener, Readiness,
-    ReadySignal, TcpTransport,
-};
+pub use transport::{DuplexStream, InProcConnector};
 pub use wire::{FrameAccum, FrameError, WireError, PROTOCOL_VERSION};

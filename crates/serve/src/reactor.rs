@@ -1,6 +1,5 @@
 //! The readiness-driven reactor: one thread multiplexing every
-//! connection over `poll(2)` (TCP) and a [`ReadySignal`] (in-proc
-//! duplex, handler completions), driving per-connection state machines.
+//! connection over `poll(2)`, driving per-connection state machines.
 //!
 //! Each connection is a small state machine:
 //!
@@ -18,13 +17,14 @@
 //! is also where the drain flag is checked — a streaming client can no
 //! longer hold `shutdown()` open until its session terminates.
 //!
-//! An idle connection costs a registered fd or waker and nothing else: no
+//! `poll(2)` is the reactor's only blocking call. Its set holds every
+//! TCP fd plus the [`ReadySignal`]'s waker fd, which every other event
+//! source notifies: in-proc duplex pipes, the in-proc listener, handler
+//! completions and the drain. So any event ends the park at once, and
+//! with no stream timer armed the park has no timeout at all. An idle
+//! connection costs a registered fd or waker token and nothing else: no
 //! thread, no timer, zero wakeups between frames (`handler_dispatches`
-//! in the server stats is the observable form of that claim). When every
-//! event source is signal-backed (the hermetic in-proc case) the reactor
-//! parks on the signal's condvar and wakes only on real events; with fds
-//! in play it parks in `poll(2)` with the park capped at
-//! [`FD_POLL_CAP`], since the signal cannot interrupt a `poll(2)` sleep.
+//! in the server stats is the observable form of that claim).
 
 use crate::protocol::{ErrorCode, Request, Response, SessionState};
 use crate::server::{handle_request, poll_session, After, ClientCtx, ServerShared};
@@ -39,20 +39,12 @@ use std::time::{Duration, Instant};
 
 /// Token the listener registers under.
 const LISTENER_TOKEN: usize = 0;
-/// Token handler completions and external wakeups (drain) notify.
+/// Token handler completions and external wakeups (drain) notify; the
+/// waker fd is polled under it too.
 pub(crate) const WAKE_TOKEN: usize = 1;
 /// First token handed to an accepted connection.
 const FIRST_CONN_TOKEN: usize = 2;
 
-/// Longest `poll(2)` park while fds are in the watch set: completions
-/// and the drain flag arrive via the signal, which cannot interrupt
-/// `poll(2)`, so they are observed with at most this staleness.
-const FD_POLL_CAP: Duration = Duration::from_millis(5);
-/// Longest signal park with no fds and no armed timers — a pure safety
-/// net; every real event notifies the signal and wakes the park early.
-const IDLE_PARK_CAP: Duration = Duration::from_millis(250);
-
-#[cfg(unix)]
 mod sys {
     //! Minimal `poll(2)` binding. std already links libc; declaring the
     //! one symbol we need keeps the crate dependency-free offline.
@@ -72,12 +64,13 @@ mod sys {
         fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     }
 
-    /// Polls `fds` for up to `timeout_ms`; returns the ready count (0 on
-    /// timeout, negative on error — the caller treats both as "nothing").
+    /// Polls `fds` for up to `timeout_ms` (`-1`: no limit); returns the
+    /// ready count (0 on timeout, negative on error — the caller treats
+    /// both as "nothing").
     pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> i32 {
-        if fds.is_empty() {
-            return 0;
-        }
+        // SAFETY: `PollFd` is `#[repr(C)]` with `struct pollfd`'s layout,
+        // and the pointer and length come from one live, exclusively
+        // borrowed slice, which poll(2) writes only within.
         unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) }
     }
 }
@@ -146,11 +139,11 @@ impl<C: EventConn> Conn<C> {
 /// Runs the server: accept, read, dispatch, stream, flush — one thread,
 /// every connection. Returns when the drain flag is up and every
 /// connection has retired.
-pub(crate) fn reactor_loop<L>(listener: L, shared: Arc<ServerShared>, signal: Arc<ReadySignal>)
-where
-    L: Listener,
-    L::Conn: EventConn,
-{
+pub(crate) fn reactor_loop<L: Listener>(
+    listener: L,
+    shared: Arc<ServerShared>,
+    signal: Arc<ReadySignal>,
+) {
     let (job_tx, job_rx) = channel::unbounded::<HandlerJob>();
     let (done_tx, done_rx) = channel::unbounded::<HandlerDone>();
     let mut handlers = Vec::new();
@@ -322,25 +315,24 @@ where
 
         // Park until something is ready (or the next stream tick). The
         // dwell histogram covers wake-to-park: everything this wakeup
-        // spent draining, dispatching, flushing and retiring.
+        // spent draining, dispatching, flushing and retiring. A listener
+        // that will not be accepted from leaves the poll set, so a
+        // connect during the drain cannot spin the park.
         shared.timings.reactor_dwell.record_duration(woke.elapsed());
-        let timeout = park_timeout(&listener_source, &conns, now);
-        let ready = wait_for_events(&signal, &listener_source, &mut conns, timeout);
+        let accepting = listener_alive && !shutting_down;
+        let ready = wait_for_events(
+            &signal,
+            accepting.then_some(listener_source),
+            &conns,
+            park_timeout(&conns, now),
+        );
         woke = Instant::now();
 
-        // Accept — readiness-driven where the listener supports it,
-        // speculative for `Poll` fallback listeners.
-        if listener_alive
-            && !shutting_down
-            && (matches!(listener_source, Readiness::Poll) || ready.contains(&LISTENER_TOKEN))
-        {
+        if accepting && ready.contains(&LISTENER_TOKEN) {
             listener_alive = accept_ready(&listener, &shared, &signal, &mut conns, &mut next_token);
         }
-
-        // Read every connection that announced bytes (or might have any,
-        // for `Poll` fallback sources).
         for (token, conn) in conns.iter_mut() {
-            if matches!(conn.source, Readiness::Poll) || ready.contains(token) {
+            if ready.contains(token) {
                 read_conn(&shared, conn, &mut scratch);
             }
         }
@@ -352,99 +344,92 @@ where
     }
 }
 
-/// How long the reactor may park before something it must do on a clock
-/// (stream ticks, speculative `Poll` reads) comes due.
-fn park_timeout<C: EventConn>(
-    listener_source: &Readiness,
-    conns: &HashMap<usize, Conn<C>>,
-    now: Instant,
-) -> Duration {
-    let mut timeout = IDLE_PARK_CAP;
-    if matches!(listener_source, Readiness::Poll)
-        || conns.values().any(|c| matches!(c.source, Readiness::Poll))
-    {
-        timeout = timeout.min(FD_POLL_CAP);
-    }
-    for conn in conns.values() {
-        if let Phase::Streaming { next_tick, .. } = conn.phase {
-            timeout = timeout.min(next_tick.saturating_duration_since(now));
-        }
-    }
-    timeout
+/// How long the reactor may park before a stream tick comes due; `None`
+/// when no stream timer is armed.
+fn park_timeout<C: EventConn>(conns: &HashMap<usize, Conn<C>>, now: Instant) -> Option<Duration> {
+    conns
+        .values()
+        .filter_map(|conn| match conn.phase {
+            Phase::Streaming { next_tick, .. } => Some(next_tick.saturating_duration_since(now)),
+            _ => None,
+        })
+        .min()
 }
 
-/// Parks until at least one event source fires (or `timeout` elapses) and
-/// returns the ready tokens. With fds in the set this is `poll(2)` plus a
-/// nonblocking signal drain; with none it is a pure condvar park on the
-/// signal — zero polling for the hermetic in-proc transport.
+/// Converts a park to a `poll(2)` timeout: whole milliseconds rounded
+/// *up*, so a sub-millisecond wait parks instead of spinning `poll(…, 0)`
+/// until the tick comes due; `None` parks without limit.
+fn poll_timeout_ms(park: Option<Duration>) -> i32 {
+    match park {
+        None => -1,
+        Some(park) => park.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32,
+    }
+}
+
+/// Parks in `poll(2)` until at least one event source fires (or `park`
+/// elapses) and returns the ready tokens: the polled fds that fired plus
+/// every token notified through the signal.
 fn wait_for_events<C: EventConn>(
-    signal: &Arc<ReadySignal>,
-    listener_source: &Readiness,
-    conns: &mut HashMap<usize, Conn<C>>,
-    timeout: Duration,
+    signal: &ReadySignal,
+    listener_source: Option<Readiness>,
+    conns: &HashMap<usize, Conn<C>>,
+    park: Option<Duration>,
 ) -> Vec<usize> {
-    #[cfg(unix)]
-    {
-        let mut fds: Vec<sys::PollFd> = Vec::new();
-        let mut tokens: Vec<usize> = Vec::new();
-        if let Readiness::Fd(fd) = *listener_source {
+    let mut fds = vec![sys::PollFd {
+        fd: signal.fd(),
+        events: sys::POLLIN,
+        revents: 0,
+    }];
+    let mut tokens = vec![WAKE_TOKEN];
+    if let Some(Readiness::Fd(fd)) = listener_source {
+        fds.push(sys::PollFd {
+            fd,
+            events: sys::POLLIN,
+            revents: 0,
+        });
+        tokens.push(LISTENER_TOKEN);
+    }
+    for (token, conn) in conns {
+        if let Readiness::Fd(fd) = conn.source {
+            let mut events = sys::POLLIN;
+            if !conn.flushed() {
+                events |= sys::POLLOUT;
+            }
             fds.push(sys::PollFd {
                 fd,
-                events: sys::POLLIN,
+                events,
                 revents: 0,
             });
-            tokens.push(LISTENER_TOKEN);
-        }
-        for (token, conn) in conns.iter() {
-            if let Readiness::Fd(fd) = conn.source {
-                let mut events = sys::POLLIN;
-                if !conn.flushed() {
-                    events |= sys::POLLOUT;
-                }
-                fds.push(sys::PollFd {
-                    fd,
-                    events,
-                    revents: 0,
-                });
-                tokens.push(*token);
-            }
-        }
-        if !fds.is_empty() {
-            let mut ready = signal.drain();
-            let park = if ready.is_empty() {
-                timeout.min(FD_POLL_CAP).as_millis() as i32
-            } else {
-                0
-            };
-            if sys::poll_fds(&mut fds, park) > 0 {
-                for (pollfd, token) in fds.iter().zip(&tokens) {
-                    if pollfd.revents != 0 {
-                        ready.push(*token);
-                    }
-                }
-            }
-            // Events that landed while we were inside poll(2).
-            ready.extend(signal.drain());
-            return ready;
+            tokens.push(*token);
         }
     }
-    signal.drain_timeout(timeout)
+    let mut ready = Vec::new();
+    if sys::poll_fds(&mut fds, poll_timeout_ms(park)) > 0 {
+        for (pollfd, token) in fds.iter().zip(&tokens) {
+            if pollfd.revents != 0 {
+                ready.push(*token);
+            }
+        }
+    }
+    ready.extend(signal.drain());
+    ready
 }
 
-fn accept_ready<L>(
+fn accept_ready<L: Listener>(
     listener: &L,
     shared: &Arc<ServerShared>,
     signal: &Arc<ReadySignal>,
     conns: &mut HashMap<usize, Conn<L::Conn>>,
     next_token: &mut usize,
-) -> bool
-where
-    L: Listener,
-    L::Conn: EventConn,
-{
+) -> bool {
     loop {
-        match listener.accept_timeout(Duration::ZERO) {
+        match listener.try_accept() {
             Ok(Some(mut io)) => {
+                // Nonblocking before the first write, refusals included:
+                // poll(2) stays the reactor's only blocking call.
+                if io.set_event_mode().is_err() {
+                    continue;
+                }
                 // CAS reservation: the slot is claimed (or refused) in one
                 // atomic step, so concurrent accept paths cannot over-admit
                 // past the cap.
@@ -461,7 +446,8 @@ where
                         ),
                     }
                     .encode();
-                    // Still in blocking mode — write the refusal directly.
+                    // A fresh connection's empty send buffer takes this one
+                    // small frame whole.
                     if wire::write_frame(&mut io, &refusal).is_ok() {
                         shared.counters.frames_out.inc();
                         shared.counters.bytes_out.add(refusal.len() as u64);
@@ -471,10 +457,7 @@ where
                 shared.counters.connections.inc();
                 let token = *next_token;
                 *next_token += 1;
-                let source = match io
-                    .set_event_mode()
-                    .and_then(|()| io.register(signal, token))
-                {
+                let source = match io.register(signal, token) {
                     Ok(source) => source,
                     Err(_) => {
                         shared.counters.release_connection();
@@ -650,4 +633,39 @@ fn flush<C: EventConn>(conn: &mut Conn<C>) {
     }
     conn.outbuf.clear();
     conn.out_pos = 0;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn poll_timeout_rounds_up_to_whole_milliseconds() {
+        let ms = |park: Duration| poll_timeout_ms(Some(park));
+        assert_eq!(ms(Duration::ZERO), 0, "a due tick polls without parking");
+        assert_eq!(ms(Duration::from_micros(1)), 1);
+        assert_eq!(ms(Duration::from_micros(999)), 1);
+        assert_eq!(ms(Duration::from_millis(1)), 1);
+        assert_eq!(ms(Duration::from_micros(1001)), 2);
+        assert_eq!(ms(Duration::MAX), i32::MAX, "clamped, never negative");
+        assert_eq!(poll_timeout_ms(None), -1, "no timer parks without limit");
+    }
+
+    /// A notify from another thread ends a `poll(2)` park that has no
+    /// timeout — the one wake path every non-fd event source relies on.
+    #[test]
+    fn notify_interrupts_an_unbounded_poll_park() {
+        let signal = ReadySignal::new().unwrap();
+        let conns: HashMap<usize, Conn<crate::transport::DuplexStream>> = HashMap::new();
+        let notifier = {
+            let signal = Arc::clone(&signal);
+            std::thread::spawn(move || signal.notify(42))
+        };
+        let ready = wait_for_events(&signal, None, &conns, None);
+        notifier.join().unwrap();
+        assert!(
+            ready.contains(&42),
+            "woken with the notified token: {ready:?}"
+        );
+    }
 }

@@ -35,7 +35,7 @@ use crate::protocol::{
     options_from_wire, AnalysisSpec, ErrorCode, OverloadScope, ProgramSpec, Request, Response,
     SessionState,
 };
-use crate::transport::{EventConn, Listener, ReadySignal};
+use crate::transport::{Listener, ReadySignal};
 use crate::wire::{self, PROTOCOL_VERSION};
 use aid_cases::all_cases;
 use aid_core::Strategy;
@@ -426,13 +426,15 @@ impl ServerShared {
 pub struct Server;
 
 impl Server {
-    /// Starts a server over any [`Listener`] whose connections the reactor
-    /// can drive. The returned handle owns the reactor thread; dropping it
-    /// (or calling [`ServerHandle::shutdown`]) drains the server.
-    pub fn start<L: Listener>(listener: L, config: ServeConfig) -> ServerHandle
-    where
-        L::Conn: EventConn,
-    {
+    /// Starts a server over either transport's listener. The returned
+    /// handle owns the reactor thread; dropping it (or calling
+    /// [`ServerHandle::shutdown`]) drains the server. Fails only if the
+    /// reactor's waker socket pair cannot be created.
+    pub(crate) fn start<L: Listener>(
+        listener: L,
+        config: ServeConfig,
+    ) -> std::io::Result<ServerHandle> {
+        let signal = ReadySignal::new()?;
         let metrics = Arc::new(MetricsRegistry::from_env());
         let engine = Engine::with_metrics(config.engine, Arc::clone(&metrics));
         let shared = Arc::new(ServerShared {
@@ -444,7 +446,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             next_session: AtomicU32::new(1),
         });
-        let signal = ReadySignal::new();
         let label = listener.label();
         let reactor_shared = Arc::clone(&shared);
         let reactor_signal = Arc::clone(&signal);
@@ -452,11 +453,11 @@ impl Server {
             .name(format!("aid-serve-reactor {label}"))
             .spawn(move || crate::reactor::reactor_loop(listener, reactor_shared, reactor_signal))
             .expect("spawn reactor thread");
-        ServerHandle {
+        Ok(ServerHandle {
             shared,
             signal,
             reactor: Some(reactor),
-        }
+        })
     }
 
     /// Convenience: a server on loopback/LAN TCP. Returns the handle and
@@ -467,14 +468,17 @@ impl Server {
     ) -> std::io::Result<(ServerHandle, std::net::SocketAddr)> {
         let transport = crate::transport::TcpTransport::bind(addr)?;
         let local = transport.local_addr();
-        Ok((Server::start(transport, config), local))
+        Ok((Server::start(transport, config)?, local))
     }
 
     /// Convenience: an in-process server for deterministic tests. Returns
     /// the handle and a cloneable connector clients dial through.
+    /// Panics if the reactor's waker socket pair cannot be created (the
+    /// process is out of file descriptors).
     pub fn start_in_proc(config: ServeConfig) -> (ServerHandle, crate::transport::InProcConnector) {
         let (listener, connector) = crate::transport::in_proc();
-        (Server::start(listener, config), connector)
+        let server = Server::start(listener, config).expect("create the reactor's waker");
+        (server, connector)
     }
 }
 
@@ -507,8 +511,8 @@ impl ServerHandle {
 
     fn drain(&mut self) {
         self.shared.shutdown.store(true, Relaxed);
-        // The reactor may be parked on the signal with nothing inbound;
-        // the flag alone would wait out the park cap.
+        // The reactor may be parked in poll(2) with nothing inbound and
+        // no timer armed; the flag alone would never be seen.
         self.signal.notify(crate::reactor::WAKE_TOKEN);
         if let Some(reactor) = self.reactor.take() {
             let _ = reactor.join();
@@ -1191,5 +1195,72 @@ mod tests {
         let counters = Counters::default();
         assert!(!counters.try_reserve_connection(0));
         assert_eq!(counters.peak_connections.get(), 0);
+    }
+
+    fn next_response(conn: &mut impl std::io::Read) -> Response {
+        let (kind, payload) = wire::read_frame(conn, wire::DEFAULT_MAX_FRAME_LEN)
+            .expect("response frame")
+            .expect("connection open");
+        Response::decode_payload(kind, &payload).expect("decodable response")
+    }
+
+    /// Draining while a client is mid-`Stream` ends the stream with a
+    /// typed `Draining` error instead of holding shutdown open until the
+    /// session completes. The engine's only worker is gated, so the
+    /// streamed session is still pending when the error arrives: the
+    /// drain provably did not wait for it.
+    #[test]
+    fn drain_interrupts_streaming_clients_promptly() {
+        let config = ServeConfig {
+            engine: EngineConfig {
+                workers: 1,
+                ..EngineConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        let (server, connector) = Server::start_in_proc(config);
+        let (gate_tx, gate_rx) = crossbeam::channel::unbounded::<()>();
+        server.shared.engine.pool().spawn(move || {
+            let _ = gate_rx.recv();
+        });
+
+        let mut conn = connector.connect().expect("connect");
+        let spec = crate::SubmitSpec::new("gated", ProgramSpec::Synth { app_seed: 1 });
+        let crate::Admission::Accepted(session) = crate::AidClient::new(&mut conn)
+            .submit(&spec)
+            .expect("submit")
+        else {
+            panic!("a fresh server has room");
+        };
+
+        // The first stream tick always reports progress, so this frame
+        // proves the connection is in the reactor's `Streaming` phase.
+        wire::write_frame(&mut conn, &Request::Stream { session }.encode()).unwrap();
+        match next_response(&mut conn) {
+            Response::Progress { session: s, .. } => assert_eq!(s, session),
+            other => panic!("expected the first Progress frame, got {other:?}"),
+        }
+
+        let drain = std::thread::spawn(move || server.shutdown());
+        loop {
+            match next_response(&mut conn) {
+                Response::Progress { .. } => continue,
+                Response::Error { code, message } => {
+                    assert_eq!(code, ErrorCode::Draining, "typed terminal error: {message}");
+                    break;
+                }
+                other => panic!("expected a terminal Draining error, got {other:?}"),
+            }
+        }
+
+        // Only now may the session run; the engine drain completes it.
+        gate_tx.send(()).unwrap();
+        let stats = drain.join().expect("drain thread panicked");
+        assert_eq!(stats.sessions_accepted, 1);
+        assert_eq!(
+            stats.sessions_delivered, 0,
+            "the stream was cut, not served"
+        );
+        assert_eq!(stats.sessions_completed, 1, "the engine drain ran it");
     }
 }

@@ -7,31 +7,33 @@
 //! [`Listener`] and every accepted [`EventConn`] for readiness, switches
 //! accepted connections to nonblocking mode, and drives them all from
 //! one thread; clients use the same streams in blocking mode.
+//!
+//! Readiness reaches the reactor through exactly one kind of fd: TCP
+//! sockets are polled directly, and every other event source (duplex
+//! pipes, the in-proc listener, handler completions) notifies a
+//! [`ReadySignal`], whose waker fd sits in the same `poll(2)` set.
 
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// A source of inbound connections the server can accept from.
-pub trait Listener: Send + 'static {
+pub(crate) trait Listener: Send + 'static {
     /// The byte-stream type a successful accept yields.
-    type Conn: io::Read + io::Write + Send + 'static;
+    type Conn: EventConn;
 
-    /// Waits up to `timeout` for the next connection. `Ok(None)` means the
-    /// timeout elapsed (poll your shutdown flag and call again); `Err`
-    /// means the listener itself is dead and the accept loop should end.
-    fn accept_timeout(&self, timeout: Duration) -> io::Result<Option<Self::Conn>>;
+    /// Takes the next pending connection without blocking. `Ok(None)`
+    /// means none is queued; `Err` means the listener itself is dead and
+    /// nothing further can arrive.
+    fn try_accept(&self) -> io::Result<Option<Self::Conn>>;
 
     /// Registers the listener with a reactor's [`ReadySignal`] and reports
-    /// how inbound connections announce themselves. The default keeps
-    /// third-party listeners working: `Poll` tells the reactor to call
-    /// [`Listener::accept_timeout`] with a zero timeout on every tick.
-    fn register(&self, _signal: &Arc<ReadySignal>, _token: usize) -> Readiness {
-        Readiness::Poll
-    }
+    /// how inbound connections announce themselves.
+    fn register(&self, signal: &Arc<ReadySignal>, token: usize) -> Readiness;
 
     /// Human-readable endpoint label, for logs and stats.
     fn label(&self) -> String;
@@ -40,69 +42,71 @@ pub trait Listener: Send + 'static {
 // ---------------------------------------------------------------------------
 // Readiness signaling.
 
-/// A shared wakeup queue: the reactor's single blocking point for every
-/// event source that is not an OS file descriptor.
+/// A shared wakeup queue: a deduplicated token set plus a self-pipe whose
+/// read end the reactor keeps in its `poll(2)` set.
 ///
 /// Producers (duplex-pipe writes and closes, in-proc connects, handler
-/// completions) call [`ReadySignal::notify`] with the token the reactor
-/// assigned them; the reactor drains the deduplicated token set either
-/// nonblockingly (when it also has fds to `poll(2)`) or by parking on the
-/// condvar until something fires (the fully hermetic in-proc case —
-/// zero polling, zero spurious wakeups).
-pub struct ReadySignal {
+/// completions, the drain) call [`ReadySignal::notify`] with the token the
+/// reactor assigned them. The set going from empty to non-empty writes
+/// one byte to the pipe, which ends the reactor's `poll(2)` park; the
+/// reactor then [`drain`](ReadySignal::drain)s the pipe and the set.
+pub(crate) struct ReadySignal {
     tokens: Mutex<Vec<usize>>,
-    cv: Condvar,
+    wake_tx: UnixStream,
+    wake_rx: UnixStream,
 }
 
 impl ReadySignal {
     /// A fresh signal with no pending tokens.
-    pub fn new() -> Arc<ReadySignal> {
-        Arc::new(ReadySignal {
+    pub(crate) fn new() -> io::Result<Arc<ReadySignal>> {
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        Ok(Arc::new(ReadySignal {
             tokens: Mutex::new(Vec::new()),
-            cv: Condvar::new(),
-        })
+            wake_tx,
+            wake_rx,
+        }))
+    }
+
+    /// The fd that turns readable while tokens are pending.
+    pub(crate) fn fd(&self) -> RawFd {
+        self.wake_rx.as_raw_fd()
     }
 
     /// Marks `token` ready and wakes the reactor. Idempotent while
     /// pending: a burst of writes to one connection costs one wakeup.
-    pub fn notify(&self, token: usize) {
-        let mut tokens = self.tokens.lock().unwrap();
-        if !tokens.contains(&token) {
-            tokens.push(token);
+    pub(crate) fn notify(&self, token: usize) {
+        let mut tokens = self.tokens.lock().expect("ready-signal lock poisoned");
+        if tokens.contains(&token) {
+            return;
         }
-        drop(tokens);
-        self.cv.notify_all();
+        tokens.push(token);
+        if tokens.len() == 1 {
+            // `WouldBlock` means the pipe is full: a wake is already
+            // pending, which is all this byte would have said.
+            let _ = (&self.wake_tx).write(&[1]);
+        }
     }
 
-    /// Takes every pending token without blocking.
-    pub fn drain(&self) -> Vec<usize> {
-        std::mem::take(&mut *self.tokens.lock().unwrap())
-    }
-
-    /// Takes every pending token, parking up to `timeout` for the first
-    /// one. An empty result means the timeout elapsed.
-    pub fn drain_timeout(&self, timeout: Duration) -> Vec<usize> {
-        let mut tokens = self.tokens.lock().unwrap();
-        if tokens.is_empty() {
-            let (guard, _timed_out) = self.cv.wait_timeout(tokens, timeout).unwrap();
-            tokens = guard;
-        }
-        std::mem::take(&mut *tokens)
+    /// Takes every pending token without blocking. The pipe is read dry
+    /// *before* the set is taken, so a notify racing this call either
+    /// lands in the taken set or writes a fresh byte for the next park.
+    pub(crate) fn drain(&self) -> Vec<usize> {
+        let mut sink = [0u8; 64];
+        while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
+        std::mem::take(&mut *self.tokens.lock().expect("ready-signal lock poisoned"))
     }
 }
 
 /// How an event source announces readiness to the reactor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Readiness {
+pub(crate) enum Readiness {
     /// An OS file descriptor the reactor includes in its `poll(2)` set.
-    #[cfg(unix)]
-    Fd(std::os::unix::io::RawFd),
+    Fd(RawFd),
     /// The source pushes its token into the registered [`ReadySignal`]
-    /// whenever bytes arrive or the peer hangs up — no fd, no polling.
+    /// whenever bytes arrive or the peer hangs up.
     Wake,
-    /// No notification mechanism: the reactor must speculatively try the
-    /// source every tick (fallback for foreign transports).
-    Poll,
 }
 
 /// A connection the reactor can drive without a dedicated thread: it can
@@ -112,7 +116,7 @@ pub enum Readiness {
 /// The blocking `io::Read`/`io::Write` impls stay untouched — the
 /// thread-per-request client side and any code outside the reactor keep
 /// using the same streams in blocking mode.
-pub trait EventConn: io::Read + io::Write + Send + 'static {
+pub(crate) trait EventConn: io::Read + io::Write + Send + 'static {
     /// Switches the connection to nonblocking mode: reads and writes that
     /// would park a thread fail with `ErrorKind::WouldBlock` instead.
     fn set_event_mode(&mut self) -> io::Result<()>;
@@ -162,10 +166,11 @@ impl Pipe {
     }
 }
 
-/// One endpoint of an in-process duplex byte stream, created in pairs by
-/// [`duplex`]. Reads block until the peer writes or hangs up (or fail
-/// with `WouldBlock` once [`EventConn::set_event_mode`] is on); dropping
-/// an endpoint closes both directions (the peer sees EOF on read and
+/// One endpoint of an in-process duplex byte stream, created in pairs
+/// (an [`InProcConnector`] hands out the client end). Reads block until
+/// the peer writes or hangs up (or fail with `WouldBlock` once the
+/// server's reactor switches its end to event mode); dropping an
+/// endpoint closes both directions (the peer sees EOF on read and
 /// `BrokenPipe` on write), exactly like a socket.
 pub struct DuplexStream {
     read: Arc<Pipe>,
@@ -174,7 +179,7 @@ pub struct DuplexStream {
 }
 
 /// A connected pair of in-process byte streams.
-pub fn duplex() -> (DuplexStream, DuplexStream) {
+pub(crate) fn duplex() -> (DuplexStream, DuplexStream) {
     let a = Arc::new(Pipe::default());
     let b = Arc::new(Pipe::default());
     (
@@ -273,21 +278,13 @@ impl EventConn for TcpStream {
         self.set_nonblocking(true)
     }
 
-    #[cfg(unix)]
     fn register(&mut self, _signal: &Arc<ReadySignal>, _token: usize) -> io::Result<Readiness> {
-        Ok(Readiness::Fd(std::os::unix::io::AsRawFd::as_raw_fd(self)))
-    }
-
-    #[cfg(not(unix))]
-    fn register(&mut self, _signal: &Arc<ReadySignal>, _token: usize) -> io::Result<Readiness> {
-        // No portable fd story off unix: the reactor degrades to trying a
-        // nonblocking read every tick, which is correct, just warmer.
-        Ok(Readiness::Poll)
+        Ok(Readiness::Fd(self.as_raw_fd()))
     }
 }
 
 /// The accepting end of the in-process transport.
-pub struct InProcListener {
+pub(crate) struct InProcListener {
     rx: Receiver<DuplexStream>,
     waker: Arc<Mutex<Option<(Arc<ReadySignal>, usize)>>>,
 }
@@ -301,7 +298,7 @@ pub struct InProcConnector {
 }
 
 /// An in-process listener/connector pair.
-pub fn in_proc() -> (InProcListener, InProcConnector) {
+pub(crate) fn in_proc() -> (InProcListener, InProcConnector) {
     let (tx, rx) = channel::unbounded();
     let waker = Arc::new(Mutex::new(None));
     (
@@ -334,11 +331,11 @@ impl InProcConnector {
 impl Listener for InProcListener {
     type Conn = DuplexStream;
 
-    fn accept_timeout(&self, timeout: Duration) -> io::Result<Option<DuplexStream>> {
-        match self.rx.recv_timeout(timeout) {
+    fn try_accept(&self) -> io::Result<Option<DuplexStream>> {
+        match self.rx.try_recv() {
             Ok(conn) => Ok(Some(conn)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(io::Error::new(
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
                 "every in-process connector was dropped",
             )),
@@ -366,15 +363,15 @@ impl Listener for InProcListener {
 /// A TCP listener adapter: the reactor polls the listener's fd and every
 /// accepted stream's fd, and accepted streams get `TCP_NODELAY` (the
 /// protocol is request/response with small frames).
-pub struct TcpTransport {
+pub(crate) struct TcpTransport {
     listener: TcpListener,
     addr: SocketAddr,
 }
 
 impl TcpTransport {
-    /// Binds to `addr` (use port 0 for an ephemeral port) and prepares the
-    /// listener for timed accepts.
-    pub fn bind(addr: impl ToSocketAddrs) -> io::Result<TcpTransport> {
+    /// Binds to `addr` (use port 0 for an ephemeral port) with a
+    /// nonblocking listener, ready for readiness-driven accepts.
+    pub(crate) fn bind(addr: impl ToSocketAddrs) -> io::Result<TcpTransport> {
         let listener = TcpListener::bind(addr)?;
         // Nonblocking at the listener only: accepted streams start out
         // blocking, and the reactor switches each to event mode.
@@ -384,7 +381,7 @@ impl TcpTransport {
     }
 
     /// The bound address (the actual port, when bound to port 0).
-    pub fn local_addr(&self) -> SocketAddr {
+    pub(crate) fn local_addr(&self) -> SocketAddr {
         self.addr
     }
 }
@@ -392,35 +389,29 @@ impl TcpTransport {
 impl Listener for TcpTransport {
     type Conn = TcpStream;
 
-    fn accept_timeout(&self, timeout: Duration) -> io::Result<Option<TcpStream>> {
-        // Poll the nonblocking listener in small sleeps up to `timeout` —
-        // std has no native timed accept, and a sub-millisecond poll keeps
-        // accept latency negligible next to a discovery session.
-        let slice = Duration::from_micros(500);
-        let mut waited = Duration::ZERO;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    stream.set_nonblocking(false)?;
-                    stream.set_nodelay(true)?;
-                    return Ok(Some(stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if waited >= timeout {
-                        return Ok(None);
-                    }
-                    std::thread::sleep(slice);
-                    waited += slice;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+    fn try_accept(&self) -> io::Result<Option<TcpStream>> {
+        match self.listener.accept() {
+            Ok((stream, _peer)) => {
+                stream.set_nonblocking(false)?;
+                stream.set_nodelay(true)?;
+                Ok(Some(stream))
             }
+            // The listener fd is level-triggered in the poll set: an
+            // interrupted accept is retried on the next wakeup.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ) =>
+            {
+                Ok(None)
+            }
+            Err(e) => Err(e),
         }
     }
 
-    #[cfg(unix)]
     fn register(&self, _signal: &Arc<ReadySignal>, _token: usize) -> Readiness {
-        Readiness::Fd(std::os::unix::io::AsRawFd::as_raw_fd(&self.listener))
+        Readiness::Fd(self.listener.as_raw_fd())
     }
 
     fn label(&self) -> String {
@@ -431,7 +422,6 @@ impl Listener for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
 
     #[test]
     fn duplex_carries_bytes_both_ways_and_eofs_on_drop() {
@@ -457,33 +447,29 @@ mod tests {
             b.read_exact(&mut buf).unwrap();
             buf
         });
-        std::thread::sleep(Duration::from_millis(5));
         a.write_all(b"abc").unwrap();
         assert_eq!(&reader.join().unwrap(), b"abc");
     }
 
     #[test]
-    fn in_proc_listener_times_out_then_accepts() {
+    fn in_proc_listener_try_accept_is_empty_then_accepts() {
         let (listener, connector) = in_proc();
-        assert!(listener
-            .accept_timeout(Duration::from_millis(1))
-            .unwrap()
-            .is_none());
+        assert!(listener.try_accept().unwrap().is_none(), "nothing queued");
         let mut client = connector.connect().unwrap();
-        let mut server = listener
-            .accept_timeout(Duration::from_millis(100))
-            .unwrap()
-            .expect("pending connection");
+        let mut server = listener.try_accept().unwrap().expect("queued connection");
         client.write_all(b"hi").unwrap();
         let mut buf = [0u8; 2];
         server.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"hi");
+
+        drop(connector);
+        assert!(listener.try_accept().is_err(), "every connector dropped");
     }
 
     #[test]
     fn duplex_event_mode_returns_wouldblock_and_wakes_on_traffic() {
         let (mut client, mut server) = duplex();
-        let signal = ReadySignal::new();
+        let signal = ReadySignal::new().unwrap();
         server.set_event_mode().unwrap();
         assert_eq!(server.register(&signal, 7).unwrap(), Readiness::Wake);
 
@@ -498,13 +484,13 @@ mod tests {
         // A peer write fires exactly one wakeup, however many chunks land.
         client.write_all(b"ab").unwrap();
         client.write_all(b"cd").unwrap();
-        assert_eq!(signal.drain_timeout(Duration::from_secs(5)), vec![7]);
+        assert_eq!(signal.drain(), vec![7]);
         assert_eq!(server.read(&mut buf).unwrap(), 4);
         assert_eq!(&buf[..4], b"abcd");
 
         // Hangup also wakes, and reads see EOF, not WouldBlock.
         drop(client);
-        assert_eq!(signal.drain_timeout(Duration::from_secs(5)), vec![7]);
+        assert_eq!(signal.drain(), vec![7]);
         assert_eq!(server.read(&mut buf).unwrap(), 0);
     }
 
@@ -513,7 +499,7 @@ mod tests {
         // Bytes written before the waker existed must still notify.
         let (mut client, mut server) = duplex();
         client.write_all(b"early").unwrap();
-        let signal = ReadySignal::new();
+        let signal = ReadySignal::new().unwrap();
         server.set_event_mode().unwrap();
         server.register(&signal, 3).unwrap();
         assert_eq!(signal.drain(), vec![3], "pre-registration bytes replay");
@@ -529,13 +515,13 @@ mod tests {
     #[test]
     fn in_proc_listener_registration_wakes_on_connect() {
         let (listener, connector) = in_proc();
-        let signal = ReadySignal::new();
+        let signal = ReadySignal::new().unwrap();
         assert_eq!(listener.register(&signal, 0), Readiness::Wake);
         assert!(signal.drain().is_empty());
 
         let _client = connector.connect().unwrap();
-        assert_eq!(signal.drain_timeout(Duration::from_secs(5)), vec![0]);
-        assert!(listener.accept_timeout(Duration::ZERO).unwrap().is_some());
+        assert_eq!(signal.drain(), vec![0]);
+        assert!(listener.try_accept().unwrap().is_some());
 
         // Backlogged connections replay on (re-)registration too.
         let (listener2, connector2) = in_proc();
@@ -546,29 +532,67 @@ mod tests {
 
     #[test]
     fn ready_signal_dedups_pending_tokens() {
-        let signal = ReadySignal::new();
+        let signal = ReadySignal::new().unwrap();
         signal.notify(5);
         signal.notify(5);
         signal.notify(2);
-        assert_eq!(signal.drain_timeout(Duration::from_secs(1)), vec![5, 2]);
-        assert!(signal.drain_timeout(Duration::from_millis(1)).is_empty());
+        assert_eq!(signal.drain(), vec![5, 2]);
+        assert!(signal.drain().is_empty());
+    }
+
+    /// Reads whatever wake bytes are pending, without blocking.
+    fn wake_bytes(signal: &ReadySignal) -> usize {
+        let mut sink = [0u8; 8];
+        match (&signal.wake_rx).read(&mut sink) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => 0,
+            Err(e) => panic!("waker read failed: {e}"),
+        }
+    }
+
+    /// The waker fd is readable exactly while a wake is pending: one byte
+    /// per empty-to-non-empty transition of the token set, consumed by
+    /// `drain`.
+    #[test]
+    fn ready_signal_fd_carries_one_byte_per_pending_batch() {
+        let signal = ReadySignal::new().unwrap();
+        assert_eq!(signal.fd(), signal.wake_rx.as_raw_fd());
+        signal.notify(3);
+        signal.notify(4);
+        signal.notify(3);
+        assert_eq!(wake_bytes(&signal), 1, "one byte per batch");
+
+        // The set is still non-empty, so this notify writes nothing; the
+        // drain takes all three and leaves the pipe dry.
+        signal.notify(6);
+        assert_eq!(signal.drain(), vec![3, 4, 6]);
+        assert_eq!(wake_bytes(&signal), 0, "no wake byte without a new batch");
+
+        // A drain re-arms the pipe: the next notify writes a fresh byte,
+        // and a drain consumes it.
+        signal.notify(3);
+        assert_eq!(signal.drain(), vec![3]);
+        assert_eq!(wake_bytes(&signal), 0, "drain reads the pipe dry");
+        signal.notify(8);
+        assert_eq!(wake_bytes(&signal), 1);
     }
 
     #[test]
     fn tcp_transport_accepts_loopback() {
         let transport = TcpTransport::bind("127.0.0.1:0").unwrap();
+        assert!(transport.try_accept().unwrap().is_none(), "empty backlog");
         let addr = transport.local_addr();
-        let client = std::thread::spawn(move || {
+        // Connect and write to completion first, so the connection sits in
+        // the listener's backlog before the nonblocking accept runs.
+        std::thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
             s.write_all(b"hello").unwrap();
-        });
-        let mut conn = transport
-            .accept_timeout(Duration::from_secs(5))
-            .unwrap()
-            .expect("client connected");
+        })
+        .join()
+        .unwrap();
+        let mut conn = transport.try_accept().unwrap().expect("backlogged client");
         let mut buf = [0u8; 5];
         conn.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"hello");
-        client.join().unwrap();
     }
 }

@@ -5,17 +5,14 @@
 //! the thread-per-connection read loop).
 
 use aid_serve::{wire, AidClient, Request, Response, ServeConfig, Server, ServerStats};
-use std::io::Write;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 
 /// Every prefix/suffix split of a request frame — two readiness events
 /// with an arbitrary cut between them — must decode to the same reply as
 /// the whole frame, on one long-lived connection. Also runs the fully
 /// pathological one-byte-per-event delivery.
-#[test]
-fn frames_split_at_every_byte_boundary_decode_identically() {
-    let (server, connector) = Server::start_in_proc(ServeConfig::default());
-    let mut conn = connector.connect().expect("connect");
-
+fn split_frames_decode_identically(conn: &mut (impl Read + Write)) {
     let frame = Request::Metrics.encode();
     let expect_stats = |conn: &mut _| {
         let (kind, payload) = wire::read_frame(conn, wire::DEFAULT_MAX_FRAME_LEN)
@@ -29,14 +26,14 @@ fn frames_split_at_every_byte_boundary_decode_identically() {
 
     // Whole frame first: the baseline request works.
     conn.write_all(&frame).unwrap();
-    expect_stats(&mut conn);
+    expect_stats(conn);
 
     // Every cut point, including inside the magic, the length field, and
     // the payload (Metrics has none; Hello below has one).
     for cut in 1..frame.len() {
         conn.write_all(&frame[..cut]).unwrap();
         conn.write_all(&frame[cut..]).unwrap();
-        expect_stats(&mut conn);
+        expect_stats(conn);
     }
 
     // One byte per readiness event, with a payload-bearing request.
@@ -47,7 +44,7 @@ fn frames_split_at_every_byte_boundary_decode_identically() {
     for byte in &hello {
         conn.write_all(std::slice::from_ref(byte)).unwrap();
     }
-    let (kind, payload) = wire::read_frame(&mut conn, wire::DEFAULT_MAX_FRAME_LEN)
+    let (kind, payload) = wire::read_frame(conn, wire::DEFAULT_MAX_FRAME_LEN)
         .expect("hello response")
         .expect("connection open");
     match Response::decode_payload(kind, &payload).expect("decodable") {
@@ -59,13 +56,33 @@ fn frames_split_at_every_byte_boundary_decode_identically() {
     let mut fused = Request::Metrics.encode();
     fused.extend_from_slice(&Request::Metrics.encode());
     conn.write_all(&fused).unwrap();
-    expect_stats(&mut conn);
-    let after = expect_stats(&mut conn);
+    expect_stats(conn);
+    let after = expect_stats(conn);
 
     assert_eq!(
         after.protocol_errors, 0,
         "no split was mistaken for a malformed frame"
     );
+}
+
+#[test]
+fn frames_split_at_every_byte_boundary_decode_identically() {
+    let (server, connector) = Server::start_in_proc(ServeConfig::default());
+    let mut conn = connector.connect().expect("connect");
+    split_frames_decode_identically(&mut conn);
+    drop(conn);
+    server.shutdown();
+}
+
+/// The same contract over a raw socket: with `TCP_NODELAY` each write is
+/// its own segment, so the cuts reach the reactor as separate readiness
+/// events on the fd.
+#[test]
+fn frames_split_at_every_byte_boundary_decode_identically_over_tcp() {
+    let (server, addr) = Server::start_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_nodelay(true).unwrap();
+    split_frames_decode_identically(&mut conn);
     drop(conn);
     server.shutdown();
 }
