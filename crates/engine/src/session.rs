@@ -187,6 +187,15 @@ impl std::fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
+/// A session's completion hook, shared by its ticket and its task: the
+/// task sets `done` right after publishing the outcome and runs whatever
+/// hook is registered by then; a later registration runs at once.
+#[derive(Default)]
+struct ReadyHook {
+    done: bool,
+    hook: Option<Box<dyn FnOnce() + Send>>,
+}
+
 /// Ticket for a queued session.
 pub struct Session {
     name: String,
@@ -195,6 +204,7 @@ pub struct Session {
     /// sender only after the send, so the channel alone would still read
     /// as empty (not disconnected) for a moment after delivery.
     delivered: AtomicBool,
+    ready: Arc<Mutex<ReadyHook>>,
 }
 
 impl std::fmt::Debug for Session {
@@ -251,6 +261,24 @@ impl Session {
         match outcome {
             Ok(result) => SessionPoll::Ready(result),
             Err(e) => SessionPoll::Failed(e),
+        }
+    }
+
+    /// Registers `f` to run exactly once, as soon as the outcome is
+    /// published — results, traps and panics alike. It runs right here
+    /// when the outcome is already out, otherwise on the worker right
+    /// after the publish, so a [`Session::try_wait`] from inside (or
+    /// after) `f` never reads `Pending`. A later registration replaces
+    /// one that has not fired yet. This is how an event loop multiplexing
+    /// many tickets learns which one to poll instead of polling them all
+    /// on a timer.
+    pub fn notify_on_ready(&self, f: impl FnOnce() + Send + 'static) {
+        let mut ready = self.ready.lock().expect("session hook lock poisoned");
+        if ready.done {
+            drop(ready);
+            f();
+        } else {
+            ready.hook = Some(Box::new(f));
         }
     }
 }
@@ -600,6 +628,8 @@ impl EngineHandle {
         let (tx, rx) = channel::unbounded();
         let name = job.name.clone();
         let task_shared = Arc::clone(&self.shared);
+        let ready = Arc::new(Mutex::new(ReadyHook::default()));
+        let task_ready = Arc::clone(&ready);
         self.shared.pool.spawn(move || {
             // Decrement `pending` even if the job panics (e.g. a malformed
             // DAG with a non-interventable predicate): a leaked count would
@@ -646,11 +676,20 @@ impl EngineHandle {
             // The submitter may have dropped the ticket; that is not an
             // engine error.
             let _ = tx.send(outcome);
+            let hook = {
+                let mut ready = task_ready.lock().expect("session hook lock poisoned");
+                ready.done = true;
+                ready.hook.take()
+            };
+            if let Some(hook) = hook {
+                hook();
+            }
         });
         Session {
             name,
             rx,
             delivered: AtomicBool::new(false),
+            ready,
         }
     }
 }
@@ -848,15 +887,11 @@ mod tests {
         assert_eq!(stats.sessions_failed, 1);
     }
 
-    /// A program whose candidate intervention is *invalid* (premature
-    /// return on an impure method) traps the bytecode VM. The trap must
-    /// surface as a per-session [`SessionErrorKind::Trap`] with the VM's
-    /// typed error — not a panic, not a wedged pool — and the engine must
-    /// stay fully serviceable afterwards.
-    #[test]
-    fn vm_trap_quarantines_the_session_with_a_typed_error() {
+    /// A job whose candidate intervention is *invalid* (premature return
+    /// on an impure method), so its first probe traps the bytecode VM.
+    fn trapping_job(name: &str) -> DiscoveryJob {
         use aid_predicates::{InterventionAction, MethodInstance, Predicate, PredicateKind};
-        use aid_sim::{Backend, Expr, ProgramBuilder, VmError};
+        use aid_sim::{Backend, Expr, ProgramBuilder};
 
         let mut b = ProgramBuilder::new("trapper");
         let x = b.object("x", 0);
@@ -896,10 +931,8 @@ mod tests {
             failure,
             &[(candidate, failure)],
         ));
-
-        let engine = Engine::with_workers(2);
-        let doomed = engine.submit(DiscoveryJob::sim(
-            "trapped",
+        DiscoveryJob::sim(
+            name,
             dag,
             Arc::new(Simulator::new(program).with_backend(Backend::Bytecode)),
             Arc::new(catalog),
@@ -908,7 +941,17 @@ mod tests {
             0,
             Strategy::Aid,
             0,
-        ));
+        )
+    }
+
+    /// A trapping job surfaces as a per-session
+    /// [`SessionErrorKind::Trap`] with the VM's typed error — not a
+    /// panic, not a wedged pool — and the engine stays fully serviceable
+    /// afterwards.
+    #[test]
+    fn vm_trap_quarantines_the_session_with_a_typed_error() {
+        let engine = Engine::with_workers(2);
+        let doomed = engine.submit(trapping_job("trapped"));
         let err = doomed.join().expect_err("the trap must fail the session");
         assert_eq!(err.name, "trapped");
         match &err.kind {
@@ -923,6 +966,98 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.sessions_failed, 1);
         assert_eq!(stats.sessions_completed, 1);
+    }
+
+    /// A single-worker engine whose only worker is parked on a gate, so a
+    /// submitted session provably has not run until the gate is sent.
+    fn gated_engine() -> (Engine, channel::Sender<()>) {
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            cache_shards: 2,
+            ..EngineConfig::default()
+        });
+        let (gate_tx, gate_rx) = channel::unbounded::<()>();
+        engine.pool().spawn(move || {
+            let _ = gate_rx.recv();
+        });
+        (engine, gate_tx)
+    }
+
+    /// A hook that reports each firing on the returned channel. The
+    /// channel disconnects once the hook is gone, fired or dropped.
+    fn counting_hook() -> (impl FnOnce() + Send + 'static, Receiver<()>) {
+        let (tx, rx) = channel::unbounded();
+        (move || tx.send(()).unwrap(), rx)
+    }
+
+    /// Registered before completion, the hook waits for the publish,
+    /// fires once on the worker, and the ticket is already ready when it
+    /// does.
+    #[test]
+    fn notify_on_ready_registered_before_completion_fires_once() {
+        let (engine, gate) = gated_engine();
+        let session = engine.submit(oracle_job("hooked", 2));
+        let (hook, fired) = counting_hook();
+        session.notify_on_ready(hook);
+        assert_eq!(fired.try_recv(), Err(TryRecvError::Empty), "gated: not run");
+
+        gate.send(()).unwrap();
+        fired.recv().expect("the hook fires on completion");
+        assert!(
+            matches!(session.try_wait(), SessionPoll::Ready(ref r) if r.name == "hooked"),
+            "the outcome is published before the hook runs"
+        );
+        engine.shutdown();
+        assert_eq!(
+            fired.try_recv(),
+            Err(TryRecvError::Disconnected),
+            "fired exactly once, then dropped"
+        );
+    }
+
+    /// Registered after completion, the hook runs at once, inside the
+    /// registering call.
+    #[test]
+    fn notify_on_ready_registered_after_completion_fires_at_once() {
+        let (engine, gate) = gated_engine();
+        let session = engine.submit(oracle_job("late", 3));
+        let (first, first_fired) = counting_hook();
+        session.notify_on_ready(first);
+        gate.send(()).unwrap();
+        first_fired.recv().expect("completion");
+
+        let (late, late_fired) = counting_hook();
+        session.notify_on_ready(late);
+        assert_eq!(late_fired.try_recv(), Ok(()), "ran inside the call");
+        assert_eq!(late_fired.try_recv(), Err(TryRecvError::Disconnected));
+        engine.shutdown();
+        assert_eq!(first_fired.try_recv(), Err(TryRecvError::Disconnected));
+    }
+
+    /// A trapped session publishes a typed failure, and the hook covers
+    /// it like a result.
+    #[test]
+    fn notify_on_ready_fires_once_for_a_trapped_session() {
+        let (engine, gate) = gated_engine();
+        let session = engine.submit(trapping_job("trapped"));
+        let (hook, fired) = counting_hook();
+        session.notify_on_ready(hook);
+        assert_eq!(fired.try_recv(), Err(TryRecvError::Empty), "gated: not run");
+
+        gate.send(()).unwrap();
+        fired.recv().expect("the hook fires on a trap");
+        assert!(
+            matches!(
+                session.try_wait(),
+                SessionPoll::Failed(SessionError {
+                    kind: SessionErrorKind::Trap(_),
+                    ..
+                })
+            ),
+            "the trap is published before the hook runs"
+        );
+        engine.shutdown();
+        assert_eq!(fired.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     /// Cache keys are backend-independent: a session run on the tree-walk

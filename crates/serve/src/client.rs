@@ -250,8 +250,20 @@ impl<C: Read + Write> AidClient<C> {
         }
     }
 
-    fn send(&mut self, request: &Request) -> Result<(), ClientError> {
-        wire::write_frame(&mut self.conn, &request.encode())?;
+    /// Writes already-encoded request frames in one go.
+    fn send(&mut self, frames: &[u8]) -> Result<(), ClientError> {
+        if let Err(send_err) = wire::write_frame(&mut self.conn, frames) {
+            // A refusing server (connection cap, drain) writes one typed
+            // Error frame and hangs up; depending on timing our write can
+            // fail before that refusal is read. Prefer the refusal already
+            // sitting in the receive buffer over the write race.
+            if send_err.kind() == io::ErrorKind::BrokenPipe {
+                if let Err(server_err @ ClientError::Server { .. }) = self.recv() {
+                    return Err(server_err);
+                }
+            }
+            return Err(send_err.into());
+        }
         Ok(())
     }
 
@@ -270,18 +282,7 @@ impl<C: Read + Write> AidClient<C> {
     }
 
     fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        if let Err(send_err) = self.send(request) {
-            // A refusing server (connection cap, drain) writes one typed
-            // Error frame and hangs up; depending on timing our write can
-            // fail before that refusal is read. Prefer the refusal already
-            // sitting in the receive buffer over the write race.
-            if matches!(&send_err, ClientError::Io(e) if e.kind() == io::ErrorKind::BrokenPipe) {
-                if let Err(server_err @ ClientError::Server { .. }) = self.recv() {
-                    return Err(server_err);
-                }
-            }
-            return Err(send_err);
-        }
+        self.send(&request.encode())?;
         self.recv()
     }
 
@@ -300,34 +301,62 @@ impl<C: Read + Write> AidClient<C> {
     /// split lines anywhere — the server's streaming decoder reassembles),
     /// then finalizes it into a fresh analysis extracted under `analysis`.
     /// Any previously uploaded corpus on this connection is replaced.
+    ///
+    /// The whole upload is one round trip: `BeginUpload`, every chunk and
+    /// `FinishUpload` are written back to back, then one `UploadAck` is
+    /// read per frame. A refused frame (e.g. `UploadTooLarge`) still gets
+    /// its reply drained along with the rest, so the connection stays in
+    /// step; the first such error is returned.
     pub fn upload(
         &mut self,
         encoded: &[u8],
         chunk: usize,
         analysis: AnalysisSpec,
     ) -> Result<UploadReport, ClientError> {
-        self.expect_upload_ack(&Request::BeginUpload { analysis })?;
+        let mut frames = Request::BeginUpload { analysis }.encode();
+        let mut sent = 1;
         for piece in encoded.chunks(chunk.max(1)) {
-            self.expect_upload_ack(&Request::UploadChunk {
-                bytes: piece.to_vec(),
-            })?;
+            frames.extend(
+                Request::UploadChunk {
+                    bytes: piece.to_vec(),
+                }
+                .encode(),
+            );
+            sent += 1;
         }
-        let (traces, quarantined, analyzed) = self.expect_upload_ack(&Request::FinishUpload)?;
-        Ok(UploadReport {
-            traces,
-            quarantined,
-            analyzed,
-        })
-    }
+        frames.extend(Request::FinishUpload.encode());
+        sent += 1;
+        self.send(&frames)?;
 
-    fn expect_upload_ack(&mut self, request: &Request) -> Result<(u64, u64, bool), ClientError> {
-        match self.call(request)? {
-            Response::UploadAck {
-                traces,
-                quarantined,
-                analyzed,
-            } => Ok((traces, quarantined, analyzed)),
-            other => Err(unexpected("UploadAck", other)),
+        let mut first_error = None;
+        let mut report = None;
+        for _ in 0..sent {
+            match self.recv() {
+                Ok(Response::UploadAck {
+                    traces,
+                    quarantined,
+                    analyzed,
+                }) => {
+                    report = Some(UploadReport {
+                        traces,
+                        quarantined,
+                        analyzed,
+                    })
+                }
+                Ok(other) => {
+                    first_error.get_or_insert(unexpected("UploadAck", other));
+                }
+                Err(e @ ClientError::Server { .. }) => {
+                    first_error.get_or_insert(e);
+                }
+                // A transport failure ends the drain; a refusal read
+                // before it is still the better explanation.
+                Err(e) => return Err(first_error.unwrap_or(e)),
+            }
+        }
+        match first_error {
+            Some(e) => Err(e),
+            None => Ok(report.expect("every reply was an UploadAck")),
         }
     }
 
@@ -367,10 +396,11 @@ impl<C: Read + Write> AidClient<C> {
     }
 
     /// Blocks until the session completes, consuming the server's
-    /// progress stream. Returns the result and the number of progress
-    /// frames observed on the way.
+    /// progress stream (one `Progress` frame if the session was still
+    /// pending). Returns the result and the number of progress frames
+    /// observed on the way.
     pub fn wait(&mut self, session: u32) -> Result<(DiscoveryResult, u64), ClientError> {
-        self.send(&Request::Stream { session })?;
+        self.send(&Request::Stream { session }.encode())?;
         let mut progress_frames = 0u64;
         loop {
             match self.recv()? {

@@ -402,8 +402,9 @@ pub enum Request {
         /// The session id from `Submitted`.
         session: u32,
     },
-    /// Blocks server-side: streams `Progress` frames until the session
-    /// reaches a terminal state, then a final `Status`.
+    /// Waits for the session server-side: one `Progress` frame if the
+    /// session is still pending, then the terminal `Status` as soon as
+    /// the engine publishes the outcome (no polling cadence).
     Stream {
         /// The session id from `Submitted`.
         session: u32,
@@ -880,8 +881,9 @@ pub enum Response {
         /// Its state; `Done` carries the full discovery result.
         state: SessionState,
     },
-    /// Interim `Stream` frame: the engine-wide picture while the session
-    /// runs (executions and cache traffic are the service's real progress
+    /// Interim `Stream` frame, sent once when the stream finds its
+    /// session pending: the engine-wide picture at that moment
+    /// (executions and cache traffic are the service's real progress
     /// measure — rounds only exist once discovery finishes).
     Progress {
         /// The streamed session id.

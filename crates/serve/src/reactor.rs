@@ -5,29 +5,33 @@
 //!
 //! | phase       | waiting on                  | transition                          |
 //! |-------------|-----------------------------|-------------------------------------|
-//! | `Reading`   | readiness (fd or waker)     | full frame decoded → `Handling`     |
+//! | `Reading`   | readiness (fd or waker)     | frames decoded → `Handling`         |
 //! | `Handling`  | handler-pool completion     | responses queued → `Reading`/stream |
-//! | `Streaming` | `stream_poll` timer         | terminal `Status` → `Reading`       |
+//! | `Streaming` | engine completion push      | terminal `Status` → `Reading`       |
 //!
 //! The reactor never blocks on request work: decoded requests ship (with
 //! the connection's [`ClientCtx`], by move) to a handler pool, because a
 //! request may legitimately park — a watch tick runs discovery probes to
-//! completion against the engine. Streams cost no handler thread at all:
-//! the reactor polls the session ticket inline on its timer tick, which
-//! is also where the drain flag is checked — a streaming client can no
-//! longer hold `shutdown()` open until its session terminates.
+//! completion against the engine. Every request a connection has
+//! pipelined so far ships as one handler job, which runs them in order
+//! and hands back the ones after a `Stream`, a `Goodbye` or the drain.
+//! Streams cost no handler thread and no timer: the session ticket's
+//! completion hook notifies the connection's token, and the reactor polls
+//! the ticket only when that token is ready. The drain flag is checked
+//! on every wakeup, so a streaming client cannot hold `shutdown()` open
+//! until its session terminates.
 //!
-//! `poll(2)` is the reactor's only blocking call. Its set holds every
-//! TCP fd plus the [`ReadySignal`]'s waker fd, which every other event
-//! source notifies: in-proc duplex pipes, the in-proc listener, handler
-//! completions and the drain. So any event ends the park at once, and
-//! with no stream timer armed the park has no timeout at all. An idle
-//! connection costs a registered fd or waker token and nothing else: no
-//! thread, no timer, zero wakeups between frames (`handler_dispatches`
-//! in the server stats is the observable form of that claim).
+//! `poll(2)` is the reactor's only blocking call, and it never times out.
+//! Its set holds every TCP fd plus the [`ReadySignal`]'s waker fd, which
+//! every other event source notifies: in-proc duplex pipes, the in-proc
+//! listener, handler completions, session completions and the drain. So
+//! any event ends the park at once. An idle connection costs a registered
+//! fd or waker token and nothing else: no thread, no timer, zero wakeups
+//! between frames (`handler_dispatches` in the server stats is the
+//! observable form of that claim).
 
 use crate::protocol::{ErrorCode, Request, Response, SessionState};
-use crate::server::{handle_request, poll_session, After, ClientCtx, ServerShared};
+use crate::server::{handle_batch, poll_session, After, ClientCtx, ServerShared};
 use crate::transport::{EventConn, Listener, Readiness, ReadySignal};
 use crate::wire::{self, FrameAccum, WireError};
 use crossbeam::channel;
@@ -35,7 +39,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Token the listener registers under.
 const LISTENER_TOKEN: usize = 0;
@@ -64,33 +68,35 @@ mod sys {
         fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     }
 
-    /// Polls `fds` for up to `timeout_ms` (`-1`: no limit); returns the
-    /// ready count (0 on timeout, negative on error — the caller treats
-    /// both as "nothing").
-    pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> i32 {
+    /// Polls `fds` with no timeout; returns the ready count (negative on
+    /// error, which the caller treats as "nothing").
+    pub fn poll_fds(fds: &mut [PollFd]) -> i32 {
         // SAFETY: `PollFd` is `#[repr(C)]` with `struct pollfd`'s layout,
         // and the pointer and length come from one live, exclusively
         // borrowed slice, which poll(2) writes only within.
-        unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) }
+        unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, -1) }
     }
 }
 
-/// A request in flight to the handler pool, carrying the connection's
-/// context by move — the reactor holds no reference to it meanwhile.
+/// A connection's pipelined requests in flight to the handler pool,
+/// carrying its context by move — the reactor holds no reference to it
+/// meanwhile.
 struct HandlerJob {
     token: usize,
-    request: Request,
+    requests: VecDeque<Request>,
     ctx: ClientCtx,
     /// Dispatch instant, for the queue-wait and whole-frame histograms.
     queued: Instant,
 }
 
-/// A finished request: the context comes back with the responses.
+/// A finished batch: the context comes back with the responses, and the
+/// requests the handler did not run come back to the front of `pending`.
 struct HandlerDone {
     token: usize,
     ctx: ClientCtx,
     responses: Vec<Response>,
     after: After,
+    unrun: VecDeque<Request>,
     /// The job's dispatch instant, carried through so the reactor can
     /// close the `serve.frame_us` measurement when it queues the
     /// responses for write.
@@ -102,16 +108,11 @@ struct HandlerDone {
 enum Phase {
     /// Accumulating request bytes; the ctx is resident.
     Reading,
-    /// A request (and the ctx) is out at the handler pool.
+    /// A batch of requests (and the ctx) is out at the handler pool.
     Handling,
-    /// Timer-armed `Stream` continuation; the ctx is resident.
-    Streaming {
-        session: u32,
-        /// Last emitted (executions, cache_hits, sessions_completed) —
-        /// `Progress` is only sent when these moved.
-        last: (u64, u64, u64),
-        next_tick: Instant,
-    },
+    /// A `Stream` waiting on its session's completion push; the ctx is
+    /// resident.
+    Streaming { session: u32 },
 }
 
 struct Conn<C: EventConn> {
@@ -158,7 +159,7 @@ pub(crate) fn reactor_loop<L: Listener>(
                 .spawn(move || {
                     while let Ok(HandlerJob {
                         token,
-                        request,
+                        mut requests,
                         mut ctx,
                         queued,
                     }) = job_rx.recv()
@@ -167,18 +168,14 @@ pub(crate) fn reactor_loop<L: Listener>(
                             .timings
                             .handler_queue_wait
                             .record_duration(queued.elapsed());
-                        let handling = Instant::now();
-                        let (responses, after) = handle_request(&shared, &mut ctx, request);
-                        shared
-                            .timings
-                            .handler_handle
-                            .record_duration(handling.elapsed());
+                        let (responses, after) = handle_batch(&shared, &mut ctx, &mut requests);
                         if done_tx
                             .send(HandlerDone {
                                 token,
                                 ctx,
                                 responses,
                                 after,
+                                unrun: requests,
                                 dispatched: queued,
                             })
                             .is_err()
@@ -205,15 +202,17 @@ pub(crate) fn reactor_loop<L: Listener>(
     loop {
         let shutting_down = shared.shutdown.load(Relaxed);
 
-        // Handler completions: responses out, context back, next phase.
-        while let Ok(done) = done_rx.try_recv() {
+        // Handler completions: responses out, context and unrun requests
+        // back, next phase.
+        while let Ok(mut done) = done_rx.try_recv() {
             let Some(conn) = conns.get_mut(&done.token) else {
                 continue;
             };
-            conn.ctx = Some(done.ctx);
             for response in &done.responses {
                 queue_response(&shared, conn, response);
             }
+            done.unrun.append(&mut conn.pending);
+            conn.pending = done.unrun;
             // Frame turnaround closes here: dispatch to responses queued.
             shared
                 .timings
@@ -225,16 +224,22 @@ pub(crate) fn reactor_loop<L: Listener>(
                     conn.close_after_flush = true;
                     Phase::Reading
                 }
-                After::Stream { session } => Phase::Streaming {
-                    session,
-                    last: (u64::MAX, u64::MAX, u64::MAX),
-                    next_tick: Instant::now(),
-                },
+                After::Stream { session } => {
+                    // The hook fires once the outcome is published (at
+                    // once if it already is), so the next wakeup with
+                    // this token finds the session terminal.
+                    let signal = Arc::clone(&signal);
+                    let token = done.token;
+                    done.ctx
+                        .notify_on_ready(session, move || signal.notify(token));
+                    Phase::Streaming { session }
+                }
             };
+            conn.ctx = Some(done.ctx);
         }
 
         // Drain: close everything not waiting on a handler. Streams get a
-        // terminal typed error this tick — the in-flight session keeps
+        // terminal typed error this wakeup — the in-flight session keeps
         // running engine-side, but the connection no longer holds the
         // drain open. Undispatched pipelined requests are discarded, the
         // same boundary the thread-per-connection loop closed at.
@@ -258,31 +263,28 @@ pub(crate) fn reactor_loop<L: Listener>(
             }
         }
 
-        // Armed stream timers that came due.
-        let now = Instant::now();
-        for conn in conns.values_mut() {
-            stream_tick(&shared, conn, now);
-        }
-
-        // Dispatch: one request per connection at a time (responses stay
-        // in request order); further pipelined frames wait in `pending`.
+        // Dispatch: one batch per connection at a time, holding every
+        // request decoded so far (responses stay in request order);
+        // frames decoded meanwhile wait in `pending` for the next batch.
         for (token, conn) in conns.iter_mut() {
-            if !matches!(conn.phase, Phase::Reading) || conn.close_after_flush || conn.dead {
+            if !matches!(conn.phase, Phase::Reading)
+                || conn.close_after_flush
+                || conn.dead
+                || conn.pending.is_empty()
+            {
                 continue;
             }
-            if let Some(request) = conn.pending.pop_front() {
-                let ctx = conn.ctx.take().expect("reading phase holds the ctx");
-                conn.phase = Phase::Handling;
-                shared.counters.handler_dispatches.inc();
-                job_tx
-                    .send(HandlerJob {
-                        token: *token,
-                        request,
-                        ctx,
-                        queued: Instant::now(),
-                    })
-                    .expect("handler pool outlives the reactor");
-            }
+            let ctx = conn.ctx.take().expect("reading phase holds the ctx");
+            conn.phase = Phase::Handling;
+            shared.counters.handler_dispatches.inc();
+            job_tx
+                .send(HandlerJob {
+                    token: *token,
+                    requests: std::mem::take(&mut conn.pending),
+                    ctx,
+                    queued: Instant::now(),
+                })
+                .expect("handler pool outlives the reactor");
         }
 
         // Flush, then retire connections that are done. A connection at
@@ -313,19 +315,14 @@ pub(crate) fn reactor_loop<L: Listener>(
             break;
         }
 
-        // Park until something is ready (or the next stream tick). The
-        // dwell histogram covers wake-to-park: everything this wakeup
-        // spent draining, dispatching, flushing and retiring. A listener
-        // that will not be accepted from leaves the poll set, so a
-        // connect during the drain cannot spin the park.
+        // Park until something is ready. The dwell histogram covers
+        // wake-to-park: everything this wakeup spent draining,
+        // dispatching, flushing and retiring. A listener that will not be
+        // accepted from leaves the poll set, so a connect during the
+        // drain cannot spin the park.
         shared.timings.reactor_dwell.record_duration(woke.elapsed());
         let accepting = listener_alive && !shutting_down;
-        let ready = wait_for_events(
-            &signal,
-            accepting.then_some(listener_source),
-            &conns,
-            park_timeout(&conns, now),
-        );
+        let ready = wait_for_events(&signal, accepting.then_some(listener_source), &conns);
         woke = Instant::now();
 
         if accepting && ready.contains(&LISTENER_TOKEN) {
@@ -334,6 +331,7 @@ pub(crate) fn reactor_loop<L: Listener>(
         for (token, conn) in conns.iter_mut() {
             if ready.contains(token) {
                 read_conn(&shared, conn, &mut scratch);
+                stream_ready(&shared, conn);
             }
         }
     }
@@ -344,36 +342,13 @@ pub(crate) fn reactor_loop<L: Listener>(
     }
 }
 
-/// How long the reactor may park before a stream tick comes due; `None`
-/// when no stream timer is armed.
-fn park_timeout<C: EventConn>(conns: &HashMap<usize, Conn<C>>, now: Instant) -> Option<Duration> {
-    conns
-        .values()
-        .filter_map(|conn| match conn.phase {
-            Phase::Streaming { next_tick, .. } => Some(next_tick.saturating_duration_since(now)),
-            _ => None,
-        })
-        .min()
-}
-
-/// Converts a park to a `poll(2)` timeout: whole milliseconds rounded
-/// *up*, so a sub-millisecond wait parks instead of spinning `poll(…, 0)`
-/// until the tick comes due; `None` parks without limit.
-fn poll_timeout_ms(park: Option<Duration>) -> i32 {
-    match park {
-        None => -1,
-        Some(park) => park.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32,
-    }
-}
-
-/// Parks in `poll(2)` until at least one event source fires (or `park`
-/// elapses) and returns the ready tokens: the polled fds that fired plus
-/// every token notified through the signal.
+/// Parks in `poll(2)` until at least one event source fires and returns
+/// the ready tokens: the polled fds that fired plus every token notified
+/// through the signal.
 fn wait_for_events<C: EventConn>(
     signal: &ReadySignal,
     listener_source: Option<Readiness>,
     conns: &HashMap<usize, Conn<C>>,
-    park: Option<Duration>,
 ) -> Vec<usize> {
     let mut fds = vec![sys::PollFd {
         fd: signal.fd(),
@@ -391,9 +366,20 @@ fn wait_for_events<C: EventConn>(
     }
     for (token, conn) in conns {
         if let Readiness::Fd(fd) = conn.source {
-            let mut events = sys::POLLIN;
-            if !conn.flushed() {
+            // A read-closed fd stays readable (EOF) for good, and a dead
+            // one reports errors for good: arming either would turn the
+            // park into a spin while the connection waits on a handler or
+            // a session. An fd with nothing armed stays out of the set,
+            // so a hangup cannot spin it either.
+            let mut events = 0;
+            if !conn.read_closed && !conn.dead {
+                events |= sys::POLLIN;
+            }
+            if !conn.flushed() && !conn.dead {
                 events |= sys::POLLOUT;
+            }
+            if events == 0 {
+                continue;
             }
             fds.push(sys::PollFd {
                 fd,
@@ -404,7 +390,7 @@ fn wait_for_events<C: EventConn>(
         }
     }
     let mut ready = Vec::new();
-    if sys::poll_fds(&mut fds, poll_timeout_ms(park)) > 0 {
+    if sys::poll_fds(&mut fds) > 0 {
         for (pollfd, token) in fds.iter().zip(&tokens) {
             if pollfd.revents != 0 {
                 ready.push(*token);
@@ -546,56 +532,22 @@ fn protocol_error<C: EventConn>(shared: &Arc<ServerShared>, conn: &mut Conn<C>, 
     conn.close_after_flush = true;
 }
 
-/// Advances one connection's streaming continuation if its timer is due.
-fn stream_tick<C: EventConn>(shared: &Arc<ServerShared>, conn: &mut Conn<C>, now: Instant) {
-    let Phase::Streaming {
-        session,
-        last,
-        next_tick,
-    } = conn.phase
-    else {
+/// Polls a streaming connection's session once its token is ready: the
+/// session's completion hook notifies it, so a terminal state is there to
+/// read. A wakeup for other reasons (bytes arriving behind the `Stream`)
+/// reads `Pending` and leaves the stream parked.
+fn stream_ready<C: EventConn>(shared: &Arc<ServerShared>, conn: &mut Conn<C>) {
+    let Phase::Streaming { session } = conn.phase else {
         return;
     };
-    if now < next_tick || conn.dead {
+    if conn.dead {
         return;
     }
     let ctx = conn.ctx.as_mut().expect("streaming phase holds the ctx");
-    match poll_session(shared, ctx, session) {
-        SessionState::Pending => {
-            // Emit Progress only when the engine-wide counters moved — an
-            // unconditional frame per tick would spam ~1000 identical
-            // frames/s per streaming client on a long session.
-            let e = shared.engine.stats();
-            let counters = (e.executions, e.cache_hits, e.sessions_completed);
-            if counters != last {
-                queue_response(
-                    shared,
-                    conn,
-                    &Response::Progress {
-                        session,
-                        executions: e.executions,
-                        cache_hits: e.cache_hits,
-                        sessions_completed: e.sessions_completed,
-                    },
-                );
-            }
-            conn.phase = Phase::Streaming {
-                session,
-                last: counters,
-                next_tick: now + shared.config.stream_poll,
-            };
-        }
-        terminal => {
-            queue_response(
-                shared,
-                conn,
-                &Response::Status {
-                    session,
-                    state: terminal,
-                },
-            );
-            conn.phase = Phase::Reading;
-        }
+    let state = poll_session(shared, ctx, session);
+    if !matches!(state, SessionState::Pending) {
+        queue_response(shared, conn, &Response::Status { session, state });
+        conn.phase = Phase::Reading;
     }
 }
 
@@ -639,18 +591,6 @@ fn flush<C: EventConn>(conn: &mut Conn<C>) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn poll_timeout_rounds_up_to_whole_milliseconds() {
-        let ms = |park: Duration| poll_timeout_ms(Some(park));
-        assert_eq!(ms(Duration::ZERO), 0, "a due tick polls without parking");
-        assert_eq!(ms(Duration::from_micros(1)), 1);
-        assert_eq!(ms(Duration::from_micros(999)), 1);
-        assert_eq!(ms(Duration::from_millis(1)), 1);
-        assert_eq!(ms(Duration::from_micros(1001)), 2);
-        assert_eq!(ms(Duration::MAX), i32::MAX, "clamped, never negative");
-        assert_eq!(poll_timeout_ms(None), -1, "no timer parks without limit");
-    }
-
     /// A notify from another thread ends a `poll(2)` park that has no
     /// timeout — the one wake path every non-fd event source relies on.
     #[test]
@@ -661,7 +601,7 @@ mod tests {
             let signal = Arc::clone(&signal);
             std::thread::spawn(move || signal.notify(42))
         };
-        let ready = wait_for_events(&signal, None, &conns, None);
+        let ready = wait_for_events(&signal, None, &conns);
         notifier.join().unwrap();
         assert!(
             ready.contains(&42),

@@ -26,7 +26,7 @@
 //!    load-then-increment window), refused with `TooManyConnections`.
 //!
 //! **Drain.** [`ServerHandle::shutdown`] stops accepting, closes idle and
-//! streaming connections at the next reactor tick (streams get a terminal
+//! streaming connections at the next reactor wakeup (streams get a terminal
 //! `Error { code: Draining }`), waits out in-flight requests, then drains
 //! the engine — in-flight sessions complete engine-side; new submissions
 //! are refused with `Overloaded { scope: Draining }`.
@@ -47,11 +47,11 @@ use aid_sim::Simulator;
 use aid_store::{RetentionPolicy, StoreConfig, TraceStore};
 use aid_synth::SynthParams;
 use aid_watch::{WatchConfig, Watcher};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::Relaxed};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Server sizing and policy knobs.
 #[derive(Clone, Debug)]
@@ -80,8 +80,6 @@ pub struct ServeConfig {
     pub max_upload_bytes: u64,
     /// Largest accepted frame payload.
     pub max_frame_len: usize,
-    /// Cadence of `Progress` frames while serving a `Stream` request.
-    pub stream_poll: Duration,
     /// Handler pool size; `0` picks `max(4, engine.workers)`. Handlers
     /// run request work the reactor must not block on (uploads, watch
     /// ticks); they are I/O-parked most of the time, so the pool sits
@@ -107,7 +105,6 @@ impl Default for ServeConfig {
             // to ~100 KiB each) while bounding a hostile uploader.
             max_upload_bytes: 64 << 20,
             max_frame_len: wire::DEFAULT_MAX_FRAME_LEN,
-            stream_poll: Duration::from_millis(1),
             handler_threads: 0,
             server_name: "aid-serve".to_string(),
             backend: aid_sim::Backend::default(),
@@ -304,9 +301,9 @@ pub struct ServerStats {
     pub watch_events: u64,
     /// Highest simultaneously-open connection count observed.
     pub peak_connections: u64,
-    /// Requests shipped from the reactor to the handler pool — the
-    /// reactor's "wakeups that cost CPU" measure; an idle connection
-    /// contributes zero between frames.
+    /// Handler jobs shipped from the reactor to the handler pool, one per
+    /// batch of pipelined requests — the reactor's "wakeups that cost
+    /// CPU" measure; an idle connection contributes zero between frames.
     pub handler_dispatches: u64,
 }
 
@@ -376,9 +373,9 @@ pub(crate) struct Timings {
     pub(crate) reactor_dwell: Histogram,
     /// Handler-pool queue wait: dispatch to dequeue.
     pub(crate) handler_queue_wait: Histogram,
-    /// Pure request-handling time inside a handler thread.
+    /// Pure request-handling time inside a handler thread, per request.
     pub(crate) handler_handle: Histogram,
-    /// Full frame turnaround: reactor dispatch to responses queued for
+    /// Full batch turnaround: reactor dispatch to responses queued for
     /// write (queue wait + handling + completion-drain latency).
     pub(crate) frame: Histogram,
     /// One standing-query `tick()` (discovery probes run to completion).
@@ -498,7 +495,7 @@ impl ServerHandle {
     }
 
     /// Graceful drain: stops accepting, closes idle and streaming
-    /// connections at the next reactor tick (streams get a terminal
+    /// connections at the next reactor wakeup (streams get a terminal
     /// `Error { code: Draining }`; a mid-request connection finishes the
     /// request first), then drains the engine. In-flight sessions
     /// complete; new submissions are refused as
@@ -511,8 +508,8 @@ impl ServerHandle {
 
     fn drain(&mut self) {
         self.shared.shutdown.store(true, Relaxed);
-        // The reactor may be parked in poll(2) with nothing inbound and
-        // no timer armed; the flag alone would never be seen.
+        // The reactor may be parked in poll(2) with nothing inbound; the
+        // flag alone would never be seen.
         self.signal.notify(crate::reactor::WAKE_TOKEN);
         if let Some(reactor) = self.reactor.take() {
             let _ = reactor.join();
@@ -610,6 +607,16 @@ impl ClientCtx {
         }
     }
 
+    /// Registers `f` to run once `session`'s outcome is published (see
+    /// `aid_engine::Session::notify_on_ready`); runs it at once for an id
+    /// this connection does not hold, which polls as terminal.
+    pub(crate) fn notify_on_ready(&self, session: u32, f: impl FnOnce() + Send + 'static) {
+        match self.sessions.get(&session) {
+            Some(ticket) => ticket.notify_on_ready(f),
+            None => f(),
+        }
+    }
+
     /// Folds what the connection's stores observed into the server-wide
     /// counters; called exactly once, when the connection retires
     /// (undelivered tickets are discarded and the engine runs their
@@ -630,9 +637,10 @@ pub(crate) enum After {
     Continue,
     /// Flush the queued responses, then close.
     Close,
-    /// Enter the streaming state: the reactor polls the session on the
-    /// `stream_poll` cadence and emits deduplicated `Progress` frames
-    /// until a terminal `Status` (or a drain) ends the stream.
+    /// Enter the streaming state: the session was pending when the
+    /// `Stream` was handled (one `Progress` went out), so the reactor
+    /// waits for the session's completion push and then sends the
+    /// terminal `Status` (or a drain's `Error` ends the stream first).
     Stream {
         /// The session ticket being streamed.
         session: u32,
@@ -645,11 +653,40 @@ impl ServerShared {
     }
 }
 
+/// Serves a connection's pipelined requests in order, popping each from
+/// the front of `requests` as it runs. Stops after the first request whose
+/// [`After`] is not `Continue`, or before the next one once the drain flag
+/// is up (the drain boundary a one-request dispatch had); whatever is left
+/// in `requests` was not run.
+pub(crate) fn handle_batch(
+    shared: &Arc<ServerShared>,
+    ctx: &mut ClientCtx,
+    requests: &mut VecDeque<Request>,
+) -> (Vec<Response>, After) {
+    let mut responses = Vec::with_capacity(requests.len());
+    while let Some(request) = requests.pop_front() {
+        let handling = Instant::now();
+        let (out, after) = handle_request(shared, ctx, request);
+        shared
+            .timings
+            .handler_handle
+            .record_duration(handling.elapsed());
+        responses.extend(out);
+        if !matches!(after, After::Continue) {
+            return (responses, after);
+        }
+        if shared.shutdown.load(Relaxed) {
+            break;
+        }
+    }
+    (responses, After::Continue)
+}
+
 /// Serves one decoded request against the connection's context. Pure with
 /// respect to the transport: responses are returned for the reactor to
 /// write, never written here — a handler thread may block on engine work,
 /// but it never touches a socket.
-pub(crate) fn handle_request(
+fn handle_request(
     shared: &Arc<ServerShared>,
     ctx: &mut ClientCtx,
     request: Request,
@@ -743,12 +780,23 @@ pub(crate) fn handle_request(
             send(Response::Status { session, state });
         }
         Request::Stream { session } => {
-            // No blocking loop here: the reactor turns the stream into a
-            // timer-armed continuation, polling the ticket each
-            // `stream_poll` tick (and checking the drain flag, so a
-            // streaming client can no longer hold shutdown open until
-            // its session terminates).
-            return (out, After::Stream { session });
+            // No blocking wait here: a pending session turns into a
+            // reactor continuation woken by the session's completion
+            // hook (where the drain flag is also checked, so a streaming
+            // client cannot hold shutdown open until its session ends).
+            match poll_session(shared, ctx, session) {
+                SessionState::Pending => {
+                    let e = shared.engine.stats();
+                    send(Response::Progress {
+                        session,
+                        executions: e.executions,
+                        cache_hits: e.cache_hits,
+                        sessions_completed: e.sessions_completed,
+                    });
+                    return (out, After::Stream { session });
+                }
+                state => send(Response::Status { session, state }),
+            }
         }
         Request::Metrics => {
             send(Response::MetricsReply(shared.metrics.snapshot()));
@@ -1136,6 +1184,7 @@ fn build_job(
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::time::Duration;
 
     /// The connection-cap reservation is a single CAS, not the racy
     /// load-then-increment it replaced: hammered from many threads at the
@@ -1204,13 +1253,9 @@ mod tests {
         Response::decode_payload(kind, &payload).expect("decodable response")
     }
 
-    /// Draining while a client is mid-`Stream` ends the stream with a
-    /// typed `Draining` error instead of holding shutdown open until the
-    /// session completes. The engine's only worker is gated, so the
-    /// streamed session is still pending when the error arrives: the
-    /// drain provably did not wait for it.
-    #[test]
-    fn drain_interrupts_streaming_clients_promptly() {
+    /// A server whose single engine worker is parked on a gate, so a
+    /// submitted session provably stays pending until the gate is sent.
+    fn gated_server<L: Listener>(listener: L) -> (ServerHandle, crossbeam::channel::Sender<()>) {
         let config = ServeConfig {
             engine: EngineConfig {
                 workers: 1,
@@ -1218,39 +1263,69 @@ mod tests {
             },
             ..ServeConfig::default()
         };
-        let (server, connector) = Server::start_in_proc(config);
+        let server = Server::start(listener, config).expect("start");
         let (gate_tx, gate_rx) = crossbeam::channel::unbounded::<()>();
         server.shared.engine.pool().spawn(move || {
             let _ = gate_rx.recv();
         });
+        (server, gate_tx)
+    }
 
-        let mut conn = connector.connect().expect("connect");
+    /// Reactor wakeups so far: one dwell sample is recorded per wakeup.
+    fn wakeups(snapshot: &MetricsSnapshot) -> u64 {
+        snapshot
+            .histogram("serve.reactor.dwell_us")
+            .expect("dwell histogram registered")
+            .count
+    }
+
+    /// `SubmitDiscovery` (a fresh server's first session is id 1) and a
+    /// `Stream` of it, pipelined in one write.
+    fn submit_and_stream() -> Vec<u8> {
         let spec = crate::SubmitSpec::new("gated", ProgramSpec::Synth { app_seed: 1 });
-        let crate::Admission::Accepted(session) = crate::AidClient::new(&mut conn)
-            .submit(&spec)
-            .expect("submit")
-        else {
-            panic!("a fresh server has room");
-        };
-
-        // The first stream tick always reports progress, so this frame
-        // proves the connection is in the reactor's `Streaming` phase.
-        wire::write_frame(&mut conn, &Request::Stream { session }.encode()).unwrap();
-        match next_response(&mut conn) {
-            Response::Progress { session: s, .. } => assert_eq!(s, session),
-            other => panic!("expected the first Progress frame, got {other:?}"),
+        let mut frames = Request::SubmitDiscovery {
+            name: spec.name,
+            program: spec.program,
+            strategy: spec.strategy,
+            discovery_seed: spec.discovery_seed,
+            runs_per_round: spec.runs_per_round,
+            first_seed: spec.first_seed,
+            prune_quorum: spec.prune_quorum,
         }
+        .encode();
+        frames.extend(Request::Stream { session: 1 }.encode());
+        frames
+    }
+
+    /// Reads `Submitted { 1 }` and then the one `Progress` a stream of a
+    /// pending session opens with: the connection is now `Streaming`.
+    fn expect_submitted_then_progress(conn: &mut impl std::io::Read) {
+        assert_eq!(next_response(conn), Response::Submitted { session: 1 });
+        match next_response(conn) {
+            Response::Progress { session, .. } => assert_eq!(session, 1),
+            other => panic!("expected the stream's Progress frame, got {other:?}"),
+        }
+    }
+
+    /// Draining while a client is mid-`Stream` ends the stream with a
+    /// typed `Draining` error instead of holding shutdown open until the
+    /// session completes. The engine's only worker is gated, so the
+    /// streamed session is still pending when the error arrives: the
+    /// drain provably did not wait for it.
+    #[test]
+    fn drain_interrupts_streaming_clients_promptly() {
+        let (listener, connector) = crate::transport::in_proc();
+        let (server, gate_tx) = gated_server(listener);
+        let mut conn = connector.connect().expect("connect");
+        wire::write_frame(&mut conn, &submit_and_stream()).unwrap();
+        expect_submitted_then_progress(&mut conn);
 
         let drain = std::thread::spawn(move || server.shutdown());
-        loop {
-            match next_response(&mut conn) {
-                Response::Progress { .. } => continue,
-                Response::Error { code, message } => {
-                    assert_eq!(code, ErrorCode::Draining, "typed terminal error: {message}");
-                    break;
-                }
-                other => panic!("expected a terminal Draining error, got {other:?}"),
+        match next_response(&mut conn) {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::Draining, "typed terminal error: {message}");
             }
+            other => panic!("expected a terminal Draining error, got {other:?}"),
         }
 
         // Only now may the session run; the engine drain completes it.
@@ -1262,5 +1337,93 @@ mod tests {
             "the stream was cut, not served"
         );
         assert_eq!(stats.sessions_completed, 1, "the engine drain ran it");
+    }
+
+    /// A peer that half-closes while its stream waits on the engine
+    /// leaves an EOF that stays readable for good. The reactor must stop
+    /// polling for it: its wakeups stay flat until the session completes,
+    /// and the terminal `Status` still reaches the half-closed peer. The
+    /// sleep only gives a spinning reactor time to show; passing never
+    /// depends on its length.
+    #[test]
+    fn half_closed_stream_does_not_spin_the_reactor() {
+        use std::io::Read;
+        use std::net::{Shutdown, TcpStream};
+
+        let transport = crate::transport::TcpTransport::bind("127.0.0.1:0").expect("bind");
+        let addr = transport.local_addr();
+        let (server, gate_tx) = gated_server(transport);
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        conn.set_nodelay(true).unwrap();
+        wire::write_frame(&mut conn, &submit_and_stream()).unwrap();
+        expect_submitted_then_progress(&mut conn);
+
+        let before = wakeups(&server.shared.metrics.snapshot());
+        conn.shutdown(Shutdown::Write).unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+        let after = wakeups(&server.shared.metrics.snapshot());
+        // At most the wakeup that read the EOF, plus the one that sent
+        // `Progress` if it had not parked yet when `before` was read.
+        assert!(
+            after - before <= 2,
+            "a half-closed peer spun the reactor: {} wakeups while gated",
+            after - before
+        );
+
+        gate_tx.send(()).unwrap();
+        match next_response(&mut conn) {
+            Response::Status { session, state } => {
+                assert_eq!(session, 1);
+                assert!(matches!(state, SessionState::Done(_)), "{state:?}");
+            }
+            other => panic!("expected the terminal Status, got {other:?}"),
+        }
+        let mut rest = Vec::new();
+        conn.read_to_end(&mut rest).expect("clean close");
+        assert!(rest.is_empty(), "nothing follows the terminal Status");
+        let stats = server.shutdown();
+        assert_eq!(stats.sessions_delivered, 1);
+    }
+
+    /// A stream parked behind a gated engine worker costs the reactor no
+    /// wakeups of its own: between two `Metrics` reads on another
+    /// connection, the wakeup count grows only by those reads' own
+    /// wakeups. The sleep only gives a stream timer time to show.
+    #[test]
+    fn parked_stream_costs_no_reactor_wakeups() {
+        let (listener, connector) = crate::transport::in_proc();
+        let (server, gate_tx) = gated_server(listener);
+        let mut streaming = connector.connect().expect("connect");
+        wire::write_frame(&mut streaming, &submit_and_stream()).unwrap();
+        expect_submitted_then_progress(&mut streaming);
+
+        let mut observer = crate::AidClient::connect_in_proc(&connector).expect("connect");
+        // One round trip first: a connect can leave a stale notify behind
+        // (the accept's registration replays bytes its first read takes),
+        // and its wakeup must land before the measured window opens.
+        observer.hello("observer").expect("hello");
+        let first = wakeups(&observer.metrics().expect("metrics"));
+        std::thread::sleep(Duration::from_millis(30));
+        let second = wakeups(&observer.metrics().expect("metrics"));
+        // A wakeup's dwell is recorded when it parks, which can be after
+        // a handler took the snapshot it dispatched: the first read's
+        // request wakeup may land after `first`, its reply wakeup always
+        // does, and the second read's request wakeup may land before
+        // `second`.
+        assert!(
+            second - first <= 3,
+            "the parked stream woke the reactor: {} wakeups between two reads",
+            second - first
+        );
+
+        gate_tx.send(()).unwrap();
+        assert!(matches!(
+            next_response(&mut streaming),
+            Response::Status {
+                session: 1,
+                state: SessionState::Done(_)
+            }
+        ));
+        server.shutdown();
     }
 }

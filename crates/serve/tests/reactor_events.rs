@@ -4,7 +4,10 @@
 //! *zero* handler wakeups between frames (the whole point of replacing
 //! the thread-per-connection read loop).
 
-use aid_serve::{wire, AidClient, Request, Response, ServeConfig, Server, ServerStats};
+use aid_serve::{
+    wire, AidClient, ProgramSpec, Request, Response, ServeConfig, Server, ServerStats,
+    SessionState, SubmitSpec,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -83,6 +86,59 @@ fn frames_split_at_every_byte_boundary_decode_identically_over_tcp() {
     let mut conn = TcpStream::connect(addr).expect("connect");
     conn.set_nodelay(true).unwrap();
     split_frames_decode_identically(&mut conn);
+    drop(conn);
+    server.shutdown();
+}
+
+/// Requests pipelined in one write are dispatched together yet answered
+/// in order: the submission, the stream of it (an optional `Progress`,
+/// then the terminal `Status`), then the `Hello` queued behind the
+/// stream.
+#[test]
+fn pipelined_submit_stream_hello_answer_in_order() {
+    let (server, connector) = Server::start_in_proc(ServeConfig::default());
+    let mut conn = connector.connect().expect("connect");
+    let spec = SubmitSpec::new("pipelined", ProgramSpec::Synth { app_seed: 3 });
+    let mut frames = Request::SubmitDiscovery {
+        name: spec.name,
+        program: spec.program,
+        strategy: spec.strategy,
+        discovery_seed: spec.discovery_seed,
+        runs_per_round: spec.runs_per_round,
+        first_seed: spec.first_seed,
+        prune_quorum: spec.prune_quorum,
+    }
+    .encode();
+    // A fresh server numbers its first session 1.
+    frames.extend(Request::Stream { session: 1 }.encode());
+    frames.extend(
+        Request::Hello {
+            client: "pipeliner".into(),
+        }
+        .encode(),
+    );
+    conn.write_all(&frames).unwrap();
+
+    let mut next = || {
+        let (kind, payload) = wire::read_frame(&mut conn, wire::DEFAULT_MAX_FRAME_LEN)
+            .expect("response frame")
+            .expect("connection open");
+        Response::decode_payload(kind, &payload).expect("decodable")
+    };
+    assert_eq!(next(), Response::Submitted { session: 1 });
+    let mut reply = next();
+    if let Response::Progress { session, .. } = reply {
+        assert_eq!(session, 1);
+        reply = next();
+    }
+    match reply {
+        Response::Status { session, state } => {
+            assert_eq!(session, 1);
+            assert!(matches!(state, SessionState::Done(_)), "{state:?}");
+        }
+        other => panic!("expected the terminal Status, got {other:?}"),
+    }
+    assert!(matches!(next(), Response::HelloOk { .. }));
     drop(conn);
     server.shutdown();
 }

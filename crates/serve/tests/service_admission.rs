@@ -7,7 +7,7 @@ use aid_serve::{
     ServeConfig, Server, SessionState, SubmitSpec,
 };
 use aid_trace::codec;
-use std::io::Write;
+use std::io::{Read, Write};
 
 fn synth_spec(name: &str, app_seed: u64) -> SubmitSpec {
     SubmitSpec::new(name, ProgramSpec::Synth { app_seed })
@@ -147,18 +147,19 @@ fn truncated_upload_reports_quarantine() {
     assert_eq!(stats.protocol_errors, 0);
 }
 
-/// The per-upload byte quota refuses oversized uploads with a typed
-/// error, and `BeginUpload` resets the budget.
-#[test]
-fn upload_quota_is_enforced_and_resets() {
-    let config = ServeConfig {
+fn quota_config() -> ServeConfig {
+    ServeConfig {
         max_upload_bytes: 64,
         ..ServeConfig::default()
-    };
-    let (server, connector) = Server::start_in_proc(config);
-    let mut client = AidClient::connect_in_proc(&connector).unwrap();
-    client.hello("uploader").unwrap();
+    }
+}
 
+/// The quota conversation: an oversized upload is refused, yet every
+/// reply of its pipelined frames is drained, so the connection stays in
+/// step — the next upload gets a fresh budget and the next call its own
+/// reply.
+fn upload_quota_round(client: &mut AidClient<impl Read + Write>) {
+    client.hello("uploader").unwrap();
     let big = vec![b'#'; 200]; // comment bytes: quota fires before parsing matters
     match client.upload(&big, 50, AnalysisSpec::Default) {
         Err(aid_serve::ClientError::Server { code, .. }) => {
@@ -171,6 +172,27 @@ fn upload_quota_is_enforced_and_resets() {
         .upload(b"# tiny\n", 50, AnalysisSpec::Default)
         .unwrap();
     assert_eq!(report.traces, 0);
+    client.hello("still in step").unwrap();
+}
+
+/// The per-upload byte quota refuses oversized uploads with a typed
+/// error, and `BeginUpload` resets the budget.
+#[test]
+fn upload_quota_is_enforced_and_resets() {
+    let (server, connector) = Server::start_in_proc(quota_config());
+    let mut client = AidClient::connect_in_proc(&connector).unwrap();
+    upload_quota_round(&mut client);
+    client.goodbye().unwrap();
+    server.shutdown();
+}
+
+/// The same conversation over TCP, where the refused upload's frames
+/// reach the reactor in as many reads as the socket delivers them.
+#[test]
+fn upload_quota_is_enforced_and_resets_over_tcp() {
+    let (server, addr) = Server::start_tcp("127.0.0.1:0", quota_config()).unwrap();
+    let mut client = AidClient::connect_tcp(addr).unwrap();
+    upload_quota_round(&mut client);
     client.goodbye().unwrap();
     server.shutdown();
 }

@@ -12,6 +12,10 @@
 //!   backpressure primitive the engine's session queue uses;
 //! * `recv_timeout` lets a joining thread interleave waiting with helping.
 //!
+//! A condvar is notified only when a thread is parked on it: every
+//! `Condvar::notify_one` is a `futex` syscall even with nobody waiting,
+//! and on the engine's unbounded job queues nobody usually is.
+//!
 //! Error types are re-used from `std::sync::mpsc`: they carry the same
 //! fields and `Display` text as crossbeam's own, which keeps call sites
 //! source-compatible with the real crate for the subset used here.
@@ -20,7 +24,7 @@
 /// `crossbeam::channel`.
 pub mod channel {
     use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     /// Error returned by [`Receiver::recv`] once the channel is empty and
@@ -39,6 +43,10 @@ pub mod channel {
         receivers: usize,
         /// `None` = unbounded.
         capacity: Option<usize>,
+        /// Receivers parked on `readable`.
+        recv_waiting: usize,
+        /// Senders parked on `writable`.
+        send_waiting: usize,
     }
 
     struct Shared<T> {
@@ -116,33 +124,56 @@ pub mod channel {
                 }
                 match g.capacity {
                     Some(cap) if g.queue.len() >= cap => {
+                        g.send_waiting += 1;
                         g = self.0.writable.wait(g).unwrap();
+                        g.send_waiting -= 1;
                     }
                     _ => break,
                 }
             }
             g.queue.push_back(value);
+            let wake = g.recv_waiting > 0;
             drop(g);
-            self.0.readable.notify_one();
+            if wake {
+                self.0.readable.notify_one();
+            }
             Ok(())
         }
     }
 
     impl<T> Receiver<T> {
+        /// Pops the next value, waking one parked sender for the freed
+        /// slot; hands the guard back when the queue is empty.
+        fn pop<'a>(
+            &'a self,
+            mut g: MutexGuard<'a, Inner<T>>,
+        ) -> Result<T, MutexGuard<'a, Inner<T>>> {
+            let Some(v) = g.queue.pop_front() else {
+                return Err(g);
+            };
+            let wake = g.send_waiting > 0;
+            drop(g);
+            if wake {
+                self.0.writable.notify_one();
+            }
+            Ok(v)
+        }
+
         /// Blocks for the next value; `Err` once the queue is empty and all
         /// senders are dropped.
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut g = self.0.inner.lock().unwrap();
             loop {
-                if let Some(v) = g.queue.pop_front() {
-                    drop(g);
-                    self.0.writable.notify_one();
-                    return Ok(v);
-                }
+                g = match self.pop(g) {
+                    Ok(v) => return Ok(v),
+                    Err(g) => g,
+                };
                 if g.senders == 0 {
                     return Err(RecvError);
                 }
+                g.recv_waiting += 1;
                 g = self.0.readable.wait(g).unwrap();
+                g.recv_waiting -= 1;
             }
         }
 
@@ -151,11 +182,10 @@ pub mod channel {
             let deadline = Instant::now() + timeout;
             let mut g = self.0.inner.lock().unwrap();
             loop {
-                if let Some(v) = g.queue.pop_front() {
-                    drop(g);
-                    self.0.writable.notify_one();
-                    return Ok(v);
-                }
+                g = match self.pop(g) {
+                    Ok(v) => return Ok(v),
+                    Err(g) => g,
+                };
                 if g.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
@@ -163,23 +193,20 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                let (guard, _) = self.0.readable.wait_timeout(g, deadline - now).unwrap();
-                g = guard;
+                g.recv_waiting += 1;
+                g = self.0.readable.wait_timeout(g, deadline - now).unwrap().0;
+                g.recv_waiting -= 1;
             }
         }
 
         /// Returns the next value if one is queued.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut g = self.0.inner.lock().unwrap();
-            if let Some(v) = g.queue.pop_front() {
-                drop(g);
-                self.0.writable.notify_one();
-                return Ok(v);
+            let g = self.0.inner.lock().unwrap();
+            match self.pop(g) {
+                Ok(v) => Ok(v),
+                Err(g) if g.senders == 0 => Err(TryRecvError::Disconnected),
+                Err(_) => Err(TryRecvError::Empty),
             }
-            if g.senders == 0 {
-                return Err(TryRecvError::Disconnected);
-            }
-            Err(TryRecvError::Empty)
         }
 
         /// Number of values currently queued.
@@ -249,6 +276,8 @@ pub mod channel {
                 senders: 1,
                 receivers: 1,
                 capacity,
+                recv_waiting: 0,
+                send_waiting: 0,
             }),
             readable: Condvar::new(),
             writable: Condvar::new(),
@@ -335,6 +364,64 @@ mod tests {
         let (tx, rx) = unbounded::<u8>();
         drop(rx);
         assert!(tx.send(7).is_err(), "send fails with no receivers");
+    }
+
+    /// Wakeups go only to parked threads, so a missed count would strand
+    /// a value or a sender. Four receivers park on an empty queue while
+    /// four senders park on a `bounded(1)` slot; every value must arrive
+    /// exactly once and every thread must finish.
+    #[test]
+    fn parked_waiters_receive_every_value_exactly_once() {
+        const SENDERS: usize = 4;
+        const RECEIVERS: usize = 4;
+        const PER_SENDER: usize = 2_000;
+        for (tx, rx) in [bounded(1), unbounded()] {
+            let got = std::thread::scope(|s| {
+                let takers: Vec<_> = (0..RECEIVERS)
+                    .map(|_| {
+                        let rx = rx.clone();
+                        s.spawn(move || rx.iter().collect::<Vec<usize>>())
+                    })
+                    .collect();
+                drop(rx);
+                for sender in 0..SENDERS {
+                    let tx = tx.clone();
+                    s.spawn(move || {
+                        for i in 0..PER_SENDER {
+                            tx.send(sender * PER_SENDER + i).unwrap();
+                        }
+                    });
+                }
+                drop(tx);
+                let mut got: Vec<usize> =
+                    takers.into_iter().flat_map(|t| t.join().unwrap()).collect();
+                got.sort_unstable();
+                got
+            });
+            assert_eq!(got, (0..SENDERS * PER_SENDER).collect::<Vec<_>>());
+        }
+    }
+
+    /// A strict request/reply exchange: each side parks alone on its
+    /// channel while the other works, so every reply depends on one
+    /// notify reaching a lone parked waiter. A lost wakeup hangs here,
+    /// because no disconnect comes along to wake the stranded side.
+    #[test]
+    fn ping_pong_wakes_a_lone_parked_peer() {
+        let (ping_tx, ping_rx) = unbounded::<u32>();
+        let (pong_tx, pong_rx) = bounded::<u32>(1);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                while let Ok(i) = ping_rx.recv() {
+                    pong_tx.send(i + 1).unwrap();
+                }
+            });
+            for i in 0..2_000 {
+                ping_tx.send(i).unwrap();
+                assert_eq!(pong_rx.recv().unwrap(), i + 1);
+            }
+            drop(ping_tx);
+        });
     }
 
     #[test]
