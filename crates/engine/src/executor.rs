@@ -101,11 +101,14 @@ pub struct PooledSimExecutor {
 /// program/config (run behavior), the catalog (raw predicate ids name
 /// catalog entries, and `observed` is evaluated against it), and the
 /// failure indicator. Two sessions over the same program with catalogs
-/// from different observation phases must never share entries.
+/// from different observation phases must never share entries. Both halves
+/// hash structure ([`Simulator::fingerprint`],
+/// [`PredicateCatalog::fingerprint`]) rather than rendered text, so the key
+/// costs a few microseconds per session.
 pub fn sim_fingerprint(sim: &Simulator, catalog: &PredicateCatalog, failure: PredicateId) -> u64 {
     Fnv1a::new()
         .write_u64(sim.fingerprint())
-        .write(format!("{catalog:?}").as_bytes())
+        .write_u64(catalog.fingerprint())
         .write_u64(failure.raw() as u64)
         .finish()
 }
@@ -400,6 +403,34 @@ mod tests {
         let a = mk(&catalog_a, fail_a);
         assert_eq!(a, mk(&catalog_a, fail_a), "stable");
         assert_ne!(a, mk(&catalog_b, fail_b), "catalog is part of the key");
+
+        // Equal kinds, different repair metadata: `action` and `safe` are
+        // part of what an id means, so they are part of the key too.
+        let site = aid_predicates::MethodInstance::new(aid_trace::MethodId::from_raw(0), 0);
+        let with = |safe: bool, action: Option<aid_predicates::InterventionAction>| {
+            let mut c = PredicateCatalog::new();
+            c.insert(Predicate {
+                kind: PredicateKind::MethodFails {
+                    site,
+                    kind: "Boom".into(),
+                },
+                safe,
+                action,
+            });
+            let failure = c.insert(failure_pred("Boom"));
+            sim_fingerprint(&sim, &c, failure)
+        };
+        let catch = Some(aid_predicates::InterventionAction::Catch { site });
+        let slow = Some(aid_predicates::InterventionAction::SlowDown { site, ticks: 5 });
+        let base = with(true, catch.clone());
+        assert_eq!(base, with(true, catch.clone()), "stable");
+        assert_ne!(base, with(true, slow), "action is part of the key");
+        assert_ne!(
+            base,
+            with(true, None),
+            "a missing action is part of the key"
+        );
+        assert_ne!(base, with(false, catch), "safe is part of the key");
     }
 
     #[test]

@@ -505,9 +505,9 @@ impl Engine {
         self.handle.stats()
     }
 
-    /// The engine's worker pool, for co-located fan-out work (e.g. an
-    /// `aid_store` ingesting trace batches on the same threads its
-    /// discovery sessions run on, instead of spawning a second pool).
+    /// The engine's worker pool, which runs discovery sessions and their
+    /// probe batches and nothing else. Exposed so a caller can schedule
+    /// work beside them (tests gate the workers with a blocking task).
     pub fn pool(&self) -> Arc<WorkerPool> {
         self.handle.pool()
     }

@@ -8,7 +8,6 @@
 use crate::model::{MethodInstance, PredicateCatalog, PredicateId, PredicateKind};
 use aid_trace::{AccessKind, MethodEvent, Outcome, Time, Trace};
 use aid_util::DenseBitSet;
-use std::collections::BTreeMap;
 
 /// Truth values plus observation windows for every catalog predicate in one
 /// run.
@@ -47,26 +46,34 @@ impl RunObservation {
     }
 }
 
-/// Fast lookup of a trace's events by `(method, instance)`.
+/// Fast lookup of a trace's events by `(method, instance)`: the events
+/// sorted by site, searched by bisection. When a site occurs more than
+/// once, the last such event in trace order wins.
 pub struct TraceIndex<'t> {
-    by_site: BTreeMap<(u32, u32), &'t MethodEvent>,
+    by_site: Vec<((u32, u32), &'t MethodEvent)>,
 }
 
 impl<'t> TraceIndex<'t> {
     /// Builds the index.
     pub fn new(trace: &'t Trace) -> Self {
-        let mut by_site = BTreeMap::new();
-        for e in &trace.events {
-            by_site.insert((e.method.raw(), e.instance), e);
-        }
+        let mut by_site: Vec<_> = trace
+            .events
+            .iter()
+            .map(|e| ((e.method.raw(), e.instance), e))
+            .collect();
+        // Stable, so events sharing a site keep their trace order.
+        by_site.sort_by_key(|&(site, _)| site);
         TraceIndex { by_site }
     }
 
     /// The event for a method instance, if it occurred.
     pub fn event(&self, site: &MethodInstance) -> Option<&'t MethodEvent> {
-        self.by_site
-            .get(&(site.method.raw(), site.instance))
-            .copied()
+        let key = (site.method.raw(), site.instance);
+        let end = self.by_site.partition_point(|&(s, _)| s <= key);
+        match end.checked_sub(1).map(|i| self.by_site[i]) {
+            Some((s, e)) if s == key => Some(e),
+            _ => None,
+        }
     }
 }
 
@@ -230,6 +237,32 @@ mod tests {
             safe: true,
             action: None,
         })
+    }
+
+    #[test]
+    fn trace_index_finds_sites_and_keeps_the_last_duplicate() {
+        let mut first = event(2, 0, 0, 10, 20);
+        first.returned = Some(1);
+        let mut last = event(2, 0, 1, 30, 40);
+        last.returned = Some(2);
+        let t = trace(
+            vec![event(5, 1, 0, 0, 5), first, event(0, 3, 0, 6, 9), last],
+            false,
+        );
+        let idx = TraceIndex::new(&t);
+        assert_eq!(idx.event(&site(5, 1)).map(|e| e.start), Some(0));
+        assert_eq!(idx.event(&site(0, 3)).map(|e| e.start), Some(6));
+        assert_eq!(
+            idx.event(&site(2, 0)).and_then(|e| e.returned),
+            Some(2),
+            "the later of two events at one site wins"
+        );
+        for absent in [site(0, 0), site(2, 1), site(3, 0), site(9, 9)] {
+            assert!(idx.event(&absent).is_none(), "{absent} never ran");
+        }
+        assert!(TraceIndex::new(&trace(vec![], false))
+            .event(&site(0, 0))
+            .is_none());
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! (Section 4).
 
 use aid_trace::{FailureSignature, MethodId, ObjectId, Time};
-use aid_util::{Id, IdArena};
+use aid_util::{Fnv1a, Id, IdArena};
 use serde::{Deserialize, Serialize};
+use std::hash::Hash;
 
 /// Tag for predicate ids.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -123,7 +124,7 @@ pub enum PredicateKind {
 /// How fault injection repairs a predicate (Figure 2 column 3), in the
 /// neutral vocabulary shared by executors. `aid-sim` converts these to
 /// concrete machine interventions.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum InterventionAction {
     /// Put a lock around both methods' bodies.
     Serialize {
@@ -203,7 +204,7 @@ pub enum InterventionAction {
 }
 
 /// A predicate plus its repair metadata.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Hash, Serialize, Deserialize)]
 pub struct Predicate {
     /// What it asserts.
     pub kind: PredicateKind,
@@ -256,6 +257,17 @@ impl PredicateCatalog {
     /// True if empty.
     pub fn is_empty(&self) -> bool {
         self.meta.is_empty()
+    }
+
+    /// A structural fingerprint of the catalog: every entry's kind, `safe`
+    /// flag and action, in id order, through FNV-1a. Predicate ids name
+    /// catalog entries, so two catalogs with equal fingerprints give every
+    /// id the same meaning. The interning arena is derived from the
+    /// entries, so it adds nothing and is skipped.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        self.meta.hash(&mut h);
+        h.finish()
     }
 
     /// Iterates `(id, predicate)` in id order.

@@ -593,11 +593,7 @@ pub(crate) struct ClientCtx {
 impl ClientCtx {
     pub(crate) fn new(shared: &ServerShared) -> ClientCtx {
         ClientCtx {
-            store: TraceStore::with_metrics(
-                shared.config.store.clone(),
-                Some(shared.engine_pool()),
-                &shared.metrics,
-            ),
+            store: TraceStore::with_metrics(shared.config.store.clone(), &shared.metrics),
             sessions: HashMap::new(),
             watches: HashMap::new(),
             next_watch: 1,
@@ -645,12 +641,6 @@ pub(crate) enum After {
         /// The session ticket being streamed.
         session: u32,
     },
-}
-
-impl ServerShared {
-    fn engine_pool(&self) -> Arc<aid_engine::WorkerPool> {
-        self.engine.pool()
-    }
 }
 
 /// Serves a connection's pipelined requests in order, popping each from
@@ -713,11 +703,7 @@ fn handle_request(
                     // reset the cursor: the fresh store's counters
                     // restart at zero.
                     ctx.folded.fold(&shared.counters, &ctx.store.stats());
-                    ctx.store = TraceStore::with_metrics(
-                        store_config,
-                        Some(shared.engine_pool()),
-                        &shared.metrics,
-                    );
+                    ctx.store = TraceStore::with_metrics(store_config, &shared.metrics);
                     ctx.folded = StoreFold::default();
                     ctx.upload_bytes = 0;
                     send(upload_ack(ctx, false));

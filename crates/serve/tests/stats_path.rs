@@ -2,11 +2,11 @@
 //! snapshot, so the summary a client derives from a `Metrics` frame and
 //! the one the server reports in-process are the same numbers, and the
 //! retired fixed-layout `Stats` request kind is refused like any other
-//! unknown kind.
+//! unknown kind. The store stage shows in the same scrape.
 
 use aid_serve::{
-    wire, Admission, AidClient, ErrorCode, ProgramSpec, Response, ServeConfig, Server,
-    ServerHandle, ServerStats, SubmitSpec,
+    wire, Admission, AidClient, AnalysisSpec, ErrorCode, ProgramSpec, Response, ServeConfig,
+    Server, ServerHandle, ServerStats, SubmitSpec,
 };
 use std::io::{Read, Write};
 
@@ -85,4 +85,36 @@ fn retired_stats_kind_is_malformed() {
     );
     drop(conn);
     assert_eq!(server.shutdown().protocol_errors, 1);
+}
+
+/// One upload feeds both store-stage histograms: `store.ingest_us` (each
+/// chunk's decode-and-append, plus the finishing flush) and
+/// `store.refresh_us` (the analysis the upload ends with).
+#[test]
+fn upload_records_store_ingest_and_refresh_latency() {
+    let case = aid_cases::npgsql::case();
+    let encoded = aid_trace::codec::encode(&aid_cases::collect_logs_sized(&case, 4, 4));
+    let (server, connector) = Server::start_in_proc(ServeConfig::default());
+    let mut client = AidClient::connect_in_proc(&connector).unwrap();
+    client.hello("store-stage").unwrap();
+    let report = client
+        .upload(
+            encoded.as_bytes(),
+            4096,
+            AnalysisSpec::Case {
+                name: case.name.to_string(),
+            },
+        )
+        .unwrap();
+    assert!(report.analyzed, "the corpus has failures");
+
+    let metrics = client.metrics().unwrap();
+    for name in ["store.ingest_us", "store.refresh_us"] {
+        let h = metrics
+            .histogram(name)
+            .unwrap_or_else(|| panic!("{name} is registered"));
+        assert!(h.count > 0, "{name} recorded the upload: {h:?}");
+    }
+    client.goodbye().unwrap();
+    server.shutdown();
 }

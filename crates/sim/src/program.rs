@@ -19,8 +19,9 @@
 //!   monitor-style waits and are *not* recorded as data accesses.
 
 use aid_trace::{ChannelId, MethodId, ObjectId};
-use aid_util::fnv1a;
+use aid_util::Fnv1a;
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// A per-thread register index (0..16).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -31,7 +32,7 @@ pub const NUM_REGS: usize = 16;
 
 /// Pure expression over constants, registers, shared-object peeks, and the
 /// current virtual clock.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Hash, Serialize, Deserialize)]
 pub enum Expr {
     /// A constant.
     Const(i64),
@@ -63,7 +64,7 @@ impl Expr {
 }
 
 /// Comparison operator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Cmp {
     /// `==`
     Eq,
@@ -94,7 +95,7 @@ impl Cmp {
 }
 
 /// A boolean condition `lhs cmp rhs`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Hash, Serialize, Deserialize)]
 pub struct Cond {
     /// Left operand.
     pub lhs: Expr,
@@ -212,8 +213,61 @@ pub enum Op {
     },
 }
 
+/// Written by hand because `FlakyDelay::prob` is an `f64`: it hashes
+/// through `to_bits`, with `-0.0` folded onto `0.0` so ops that compare
+/// equal hash equal. Every pattern names all of its variant's fields, so a
+/// field added to `Op` cannot compile until it is hashed here too.
+impl Hash for Op {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            Op::Read { object, reg } => (object, reg).hash(h),
+            Op::Write { object, value } => (object, value).hash(h),
+            Op::ThrowIfObj {
+                object,
+                cmp,
+                rhs,
+                kind,
+            } => (object, cmp, rhs, kind).hash(h),
+            Op::Compute { cost } => cost.hash(h),
+            Op::JitterCompute { min, max } => (min, max).hash(h),
+            Op::FlakyDelay { prob, ticks } => {
+                let bits = if *prob == 0.0 { 0 } else { prob.to_bits() };
+                (bits, ticks).hash(h)
+            }
+            Op::LocalSet { reg, value } => (reg, value).hash(h),
+            Op::SetIf {
+                reg,
+                cond,
+                then_value,
+                else_value,
+            } => (reg, cond, then_value, else_value).hash(h),
+            Op::ComputeIf { cond, cost } => (cond, cost).hash(h),
+            Op::RandRange { reg, lo, hi } => (reg, lo, hi).hash(h),
+            Op::Call { method } | Op::TryCall { method } => method.hash(h),
+            Op::Return { value } => value.hash(h),
+            Op::Throw { kind } => kind.hash(h),
+            Op::ThrowIf { cond, kind } => (cond, kind).hash(h),
+            Op::Spawn { thread } | Op::Join { thread } => thread.hash(h),
+            Op::Acquire { lock } | Op::Release { lock } => lock.hash(h),
+            Op::Sleep { ticks } => ticks.hash(h),
+            Op::WaitUntil { cond } => cond.hash(h),
+            Op::Send {
+                channel,
+                value,
+                guard,
+            } => (channel, value, guard).hash(h),
+            Op::Recv {
+                channel,
+                reg,
+                timeout,
+            } => (channel, reg, timeout).hash(h),
+        }
+    }
+}
+
 /// A method definition.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Hash, Serialize, Deserialize)]
 pub struct MethodDef {
     /// Name (must be whitespace-free; it flows into trace logs).
     pub name: String,
@@ -226,7 +280,7 @@ pub struct MethodDef {
 }
 
 /// A shared object definition.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Hash, Serialize, Deserialize)]
 pub struct ObjectDef {
     /// Name (must be whitespace-free).
     pub name: String,
@@ -241,7 +295,7 @@ pub struct ObjectDef {
 /// `[latency_min, latency_max]` (scheduler RNG when the bounds differ), after
 /// which the machine *delivers* it into the receiver-visible mailbox in
 /// `(deliver_at, seq)` order. Receivers only ever see delivered messages.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Hash, Serialize, Deserialize)]
 pub struct ChannelDef {
     /// Name (must be whitespace-free; it flows into trace logs).
     pub name: String,
@@ -257,7 +311,7 @@ pub struct ChannelDef {
 }
 
 /// Whether an invariant must hold at every checkpoint or eventually.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum InvariantMode {
     /// The condition must hold at every observation point; the first
     /// violation fails the run with kind `always:<name>`.
@@ -274,7 +328,7 @@ pub enum InvariantMode {
 /// channel effect), so they may reference shared objects ([`Expr::Obj`]),
 /// channel occupancy ([`Expr::ChanLen`]), and the clock — but never
 /// per-thread registers ([`Expr::Reg`]); `validate` rejects those.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Hash, Serialize, Deserialize)]
 pub struct InvariantDef {
     /// Name (whitespace-free; it flows into failure kinds as
     /// `always:<name>` / `eventually:<name>`).
@@ -286,7 +340,7 @@ pub struct InvariantDef {
 }
 
 /// A thread definition.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Hash, Serialize, Deserialize)]
 pub struct ThreadSpec {
     /// Name, for diagnostics.
     pub name: String,
@@ -298,7 +352,7 @@ pub struct ThreadSpec {
 }
 
 /// A complete program.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Hash, Serialize, Deserialize)]
 pub struct Program {
     /// Program name.
     pub name: String,
@@ -315,15 +369,19 @@ pub struct Program {
 }
 
 impl Program {
-    /// A stable 64-bit structural fingerprint of the whole program
-    /// (FNV-1a over the canonical debug rendering, which is a pure function
-    /// of the structure — `Op`/`Expr` carry no interior mutability and no
-    /// addresses). Two `Program`s with equal structure always fingerprint
-    /// equal; the engine's intervention cache uses this as the program half
-    /// of its (program, intervention set, seed) key, so a cache entry can
-    /// never be served to a structurally different program.
+    /// A stable 64-bit structural fingerprint of the whole program: its
+    /// derived `Hash` fed through FNV-1a, so every field of every method,
+    /// object, channel, invariant and thread is covered. Two `Program`s
+    /// with equal structure always fingerprint equal; the engine's
+    /// intervention cache uses this as the program half of its (program,
+    /// intervention set, seed) key, so a cache entry can never be served to
+    /// a structurally different program. Stable within a build, not
+    /// across toolchains (std's `Hash` encoding may change), which suits an
+    /// in-memory cache key and nothing persisted.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(format!("{self:?}").as_bytes())
+        let mut h = Fnv1a::new();
+        self.hash(&mut h);
+        h.finish()
     }
 
     /// Looks up a method definition.
@@ -536,6 +594,46 @@ mod tests {
             mk(3).fingerprint(),
             mk(4).fingerprint(),
             "structure changes change the fingerprint"
+        );
+
+        // Each edit below touches one field the hash must cover.
+        let mut base = channel_program(vec![], vec![]);
+        base.methods[0].body.push(Op::FlakyDelay {
+            prob: 0.25,
+            ticks: 40,
+        });
+        let fp = base.fingerprint();
+        assert_eq!(base.clone().fingerprint(), fp, "a clone keeps it");
+        let edits: [(&str, fn(&mut Program)); 3] = [
+            ("FlakyDelay probability", |p| {
+                p.methods[0].body[0] = Op::FlakyDelay {
+                    prob: 0.5,
+                    ticks: 40,
+                }
+            }),
+            ("method name", |p| p.methods[0].name = "n".into()),
+            ("channel latency_max", |p| p.channels[0].latency_max = 5),
+        ];
+        for (what, edit) in edits {
+            let mut p = base.clone();
+            edit(&mut p);
+            assert_ne!(p.fingerprint(), fp, "{what} moves the fingerprint");
+        }
+        let mut negative_zero = base.clone();
+        negative_zero.methods[0].body[0] = Op::FlakyDelay {
+            prob: -0.0,
+            ticks: 40,
+        };
+        let mut zero = base.clone();
+        zero.methods[0].body[0] = Op::FlakyDelay {
+            prob: 0.0,
+            ticks: 40,
+        };
+        assert_eq!(negative_zero, zero);
+        assert_eq!(
+            negative_zero.fingerprint(),
+            zero.fingerprint(),
+            "equal ops hash equal"
         );
     }
 

@@ -107,10 +107,11 @@ impl Simulator {
 
     /// A stable fingerprint of (program structure, machine configuration):
     /// runs are a pure function of `(fingerprint, seed, plan)`, so this is
-    /// the program half of the engine's memoization key. Cheap enough to
-    /// call per round, but callers that execute many rounds should compute
-    /// it once up front. Deliberately backend-independent — both backends
-    /// produce identical traces, so cache entries are shared.
+    /// the program half of the engine's memoization key. It hashes the
+    /// program's structure ([`Program::fingerprint`]), a few microseconds
+    /// for a typical program; callers that execute many rounds still
+    /// compute it once up front. Deliberately backend-independent — both
+    /// backends produce identical traces, so cache entries are shared.
     pub fn fingerprint(&self) -> u64 {
         // Rotate so (program, max_steps) pairs don't collide trivially.
         self.program

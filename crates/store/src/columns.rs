@@ -6,11 +6,11 @@
 //! exception, access extent), and access-level (object, time, kind/locked
 //! flags) — with every string (method names, object names, exception and
 //! failure kinds) interned into shared arenas. Columns live in `S` shards;
-//! global trace id `g` maps to row `g / S` of shard `g % S`, so a batch
-//! append can **fan the per-trace columnarization across the
-//! `aid_engine` worker pool** and still produce a byte-identical store:
-//! blocks are joined by submission index, and shard/row placement depends
-//! only on the (deterministic) arrival order.
+//! global trace id `g` maps to row `g / S` of shard `g % S`, so shard/row
+//! placement depends only on the (deterministic) arrival order. A batch
+//! append columnarizes on the calling thread: a session's corpus is about
+//! 16 traces of 3–10 µs work each, too little per trace to pay for handing
+//! it to another thread.
 //!
 //! The store is lossless: [`ColumnStore::trace`] re-materializes any trace
 //! exactly, and `ColumnStore::to_trace_set` reproduces a `TraceSet` whose
@@ -28,15 +28,12 @@
 //! arenas are append-only and survive eviction, so remap tables from
 //! earlier batches stay valid).
 
-use aid_engine::WorkerPool;
 use aid_obs::Counter;
 use aid_trace::{
     AccessEvent, AccessKind, ChannelId, ChannelTag, FailureSignature, MethodEvent, MethodId,
     MethodTag, MsgEvent, MsgKind, ObjectId, ObjectTag, Outcome, ThreadId, Time, Trace, TraceSet,
 };
 use aid_util::IdArena;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Tag type for interned exception/failure kind strings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -281,9 +278,10 @@ struct Block {
 }
 
 /// Builds the block for one trace. `trace` must already be remapped into
-/// the store's arenas; `kind_ids` resolves exception/failure kind strings
-/// (every kind occurring in the trace is guaranteed present).
-fn build_block(mut trace: Trace, kind_ids: &BTreeMap<String, u32>) -> Block {
+/// the store's arenas, with every exception/failure kind it carries
+/// already interned in `kinds`.
+fn build_block(mut trace: Trace, kinds: &IdArena<String, KindTag>) -> Block {
+    let kind_id = |k: &String| kinds.get(k).expect("kind interned before packing").raw();
     trace.normalize();
     let mut b = Block {
         seed: trace.seed,
@@ -293,7 +291,7 @@ fn build_block(mut trace: Trace, kind_ids: &BTreeMap<String, u32>) -> Block {
     match &trace.outcome {
         Outcome::Success => {}
         Outcome::Failure(sig) => {
-            b.fail_kind = kind_ids[&sig.kind] + 1;
+            b.fail_kind = kind_id(&sig.kind) + 1;
             b.fail_method = sig.method.raw();
         }
     }
@@ -305,7 +303,7 @@ fn build_block(mut trace: Trace, kind_ids: &BTreeMap<String, u32>) -> Block {
         b.ev_end.push(e.end);
         b.ev_ret.push(e.returned.unwrap_or(0));
         b.ev_exc
-            .push(e.exception.as_ref().map_or(0, |k| kind_ids[k] + 1));
+            .push(e.exception.as_ref().map_or(0, |k| kind_id(k) + 1));
         let mut flags = 0u8;
         if e.returned.is_some() {
             flags |= EV_HAS_RET;
@@ -567,21 +565,21 @@ impl ColumnStore {
     }
 
     /// Appends a batch of traces whose ids are relative to the given remap
-    /// tables (from [`ColumnStore::remap_tables`]), columnarizing across
-    /// `pool` when one is provided. Returns the global ids assigned, in
-    /// input order — placement is identical with and without a pool.
+    /// tables (from [`ColumnStore::remap_tables`]). Returns the global ids
+    /// assigned, in input order.
     pub fn append_batch(
         &mut self,
         traces: Vec<Trace>,
         method_map: &[u32],
         object_map: &[u32],
         channel_map: &[u32],
-        pool: Option<&WorkerPool>,
     ) -> std::ops::Range<usize> {
-        // Serial phase: remap ids into store arenas and intern every
-        // exception/failure kind (arena mutation cannot fan out).
-        let mut remapped: Vec<Trace> = Vec::with_capacity(traces.len());
+        let stamp = self.clock;
+        self.clock += 1;
+        let first = self.total;
         for mut t in traces {
+            // Remap ids into store arenas and intern every exception/failure
+            // kind, then pack the trace into its shard.
             if let Outcome::Failure(sig) = &mut t.outcome {
                 self.kinds.intern(sig.kind.clone());
                 sig.method = MethodId::from_raw(method_map[sig.method.index()]);
@@ -598,36 +596,7 @@ impl ColumnStore {
             for m in &mut t.msgs {
                 m.channel = ChannelId::from_raw(channel_map[m.channel.index()]);
             }
-            remapped.push(t);
-        }
-        // Frozen kind table for the (possibly off-thread) packing phase.
-        let kind_ids: Arc<BTreeMap<String, u32>> = Arc::new(
-            self.kinds
-                .iter()
-                .map(|(id, name)| (name.clone(), id.raw()))
-                .collect(),
-        );
-        let blocks: Vec<Block> = match pool {
-            Some(pool) if remapped.len() > 1 => {
-                let jobs: Vec<Box<dyn FnOnce() -> Block + Send>> = remapped
-                    .into_iter()
-                    .map(|t| {
-                        let kind_ids = Arc::clone(&kind_ids);
-                        Box::new(move || build_block(t, &kind_ids))
-                            as Box<dyn FnOnce() -> Block + Send>
-                    })
-                    .collect();
-                pool.run_batch(jobs)
-            }
-            _ => remapped
-                .into_iter()
-                .map(|t| build_block(t, &kind_ids))
-                .collect(),
-        };
-        let stamp = self.clock;
-        self.clock += 1;
-        let first = self.total;
-        for block in blocks {
+            let block = build_block(t, &self.kinds);
             let shard = self.total % self.shards.len();
             self.shards[shard].push_block(block, stamp);
             self.total += 1;
@@ -819,28 +788,12 @@ mod tests {
         for shards in [1usize, 2, 3, 8] {
             let mut store = ColumnStore::new(shards);
             let (m, o, c) = store.remap_tables(&set.methods, &set.objects, &set.channels);
-            let range = store.append_batch(set.traces.clone(), &m, &o, &c, None);
+            let range = store.append_batch(set.traces.clone(), &m, &o, &c);
             assert_eq!(range, 0..set.traces.len());
             assert_eq!(store.len(), set.traces.len());
             let back = store.to_trace_set();
             assert_eq!(codec::encode(&back), codec::encode(&set), "{shards} shards");
         }
-    }
-
-    #[test]
-    fn pooled_and_serial_columnarization_agree() {
-        let set = sample_set();
-        let pool = WorkerPool::new(3);
-        let mut serial = ColumnStore::new(4);
-        let (m, o, c) = serial.remap_tables(&set.methods, &set.objects, &set.channels);
-        serial.append_batch(set.traces.clone(), &m, &o, &c, None);
-        let mut pooled = ColumnStore::new(4);
-        let (m, o, c) = pooled.remap_tables(&set.methods, &set.objects, &set.channels);
-        pooled.append_batch(set.traces.clone(), &m, &o, &c, Some(&pool));
-        assert_eq!(
-            codec::encode(&serial.to_trace_set()),
-            codec::encode(&pooled.to_trace_set())
-        );
     }
 
     #[test]
@@ -873,9 +826,9 @@ mod tests {
 
         let mut store = ColumnStore::new(2);
         let (m, o, c) = store.remap_tables(&set.methods, &set.objects, &set.channels);
-        store.append_batch(set.traces.clone(), &m, &o, &c, None);
+        store.append_batch(set.traces.clone(), &m, &o, &c);
         let (m2, o2, c2) = store.remap_tables(&other.methods, &other.objects, &other.channels);
-        store.append_batch(other.traces.clone(), &m2, &o2, &c2, None);
+        store.append_batch(other.traces.clone(), &m2, &o2, &c2);
         // "Writer" from the second source resolves to the store's id 1.
         let last = store.trace(store.len() - 1);
         assert_eq!(last.events[0].method.raw(), 1);
@@ -895,7 +848,7 @@ mod tests {
         let set = sample_set();
         let mut store = ColumnStore::new(3);
         let (m, o, c) = store.remap_tables(&set.methods, &set.objects, &set.channels);
-        store.append_batch(set.traces.clone(), &m, &o, &c, None);
+        store.append_batch(set.traces.clone(), &m, &o, &c);
         for g in 0..store.len() {
             let t = store.trace(g);
             assert_eq!(store.header(g), (t.seed, t.duration));
@@ -932,7 +885,7 @@ mod tests {
         for shards in [1usize, 2, 3, 8] {
             let mut store = ColumnStore::new(shards);
             let (m, o, c) = store.remap_tables(&set.methods, &set.objects, &set.channels);
-            store.append_batch(set.traces.clone(), &m, &o, &c, None);
+            store.append_batch(set.traces.clone(), &m, &o, &c);
             let mut evicted = 0;
             for step in [1usize, 2, 1] {
                 evicted += store.evict_front(step);
@@ -950,7 +903,7 @@ mod tests {
             assert_eq!(stats.compactions, 3);
             // Appends after eviction keep global ids monotone and the
             // window property intact.
-            let range = store.append_batch(set.traces.clone(), &m, &o, &c, None);
+            let range = store.append_batch(set.traces.clone(), &m, &o, &c);
             assert_eq!(range, 7..14);
             assert_eq!(store.len(), 3 + 7);
             let mut full = set.clone();
@@ -964,11 +917,11 @@ mod tests {
         let set = sample_set();
         let mut store = ColumnStore::new(3);
         let (m, o, c) = store.remap_tables(&set.methods, &set.objects, &set.channels);
-        store.append_batch(set.traces.clone(), &m, &o, &c, None);
+        store.append_batch(set.traces.clone(), &m, &o, &c);
         assert_eq!(store.evict_front(usize::MAX), 7);
         assert!(store.is_empty());
         assert_eq!(store.retained(), 7..7);
-        let range = store.append_batch(set.traces.clone(), &m, &o, &c, None);
+        let range = store.append_batch(set.traces.clone(), &m, &o, &c);
         assert_eq!(range, 7..14);
         assert_window_identical(&store, &set, 0);
     }
@@ -980,7 +933,7 @@ mod tests {
         let (m, o, c) = store.remap_tables(&set.methods, &set.objects, &set.channels);
         // Three batches → ticks 0, 1, 2.
         for _ in 0..3 {
-            store.append_batch(set.traces.clone(), &m, &o, &c, None);
+            store.append_batch(set.traces.clone(), &m, &o, &c);
         }
         assert_eq!(store.clock(), 3);
         assert_eq!(store.apply_retention(RetentionPolicy::default()), 0);

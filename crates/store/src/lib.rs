@@ -14,8 +14,8 @@
 //!    the batch.
 //! 2. **Columnar storage** ([`ColumnStore`]) — traces normalized into
 //!    append-only per-field columns with interned names, sharded by trace
-//!    id so batch appends fan their columnarization across the
-//!    `aid_engine` worker pool; losslessly re-materializable.
+//!    id, columnarized on the calling thread, and losslessly
+//!    re-materializable.
 //! 3. **Incremental analysis** ([`StoreView`]) — predicate catalog,
 //!    per-run observations, SD scores, and the AC-DAG kept up to date as
 //!    traces arrive, structurally identical to batch recomputation at
@@ -178,14 +178,17 @@ pub struct TraceStore {
     decoder: StreamDecoder,
     columns: ColumnStore,
     view: StoreView,
-    pool: Option<Arc<WorkerPool>>,
+    /// Wall time of each [`TraceStore::ingest_bytes`] and
+    /// [`TraceStore::finish_ingest`] (`store.ingest_us` when registered; a
+    /// disabled no-op cell otherwise).
+    ingest_timer: Histogram,
     /// Wall time of each [`TraceStore::refresh`] (`store.refresh_us` when
     /// registered; a disabled no-op cell otherwise).
     refresh_timer: Histogram,
 }
 
 impl TraceStore {
-    /// An empty store that columnarizes and evaluates on the caller's
+    /// An empty store. Columnarization and evaluation run on the caller's
     /// thread.
     pub fn new(config: StoreConfig) -> TraceStore {
         let columns = ColumnStore::new(config.shards);
@@ -195,31 +198,29 @@ impl TraceStore {
             decoder: StreamDecoder::new(),
             columns,
             view,
-            pool: None,
+            ingest_timer: Histogram::detached(false),
             refresh_timer: Histogram::detached(false),
         }
     }
 
-    /// An empty store that fans columnarization and evaluation across
-    /// `pool` — typically [`aid_engine::Engine::pool`], so ingestion shares
-    /// threads with the discovery sessions it feeds.
-    pub fn with_pool(config: StoreConfig, pool: Arc<WorkerPool>) -> TraceStore {
-        let mut s = TraceStore::new(config);
-        s.pool = Some(pool);
-        s
+    /// An empty store; `pool` is ignored. Kept only because the separately
+    /// built benchmark package (`aidbench/`) still calls it — the store
+    /// used to fan per-trace work across `pool`, and now runs it on the
+    /// calling thread because that measured faster. Remove once the
+    /// benchmark calls [`TraceStore::new`].
+    #[deprecated(note = "the store no longer uses a pool; call `TraceStore::new`")]
+    pub fn with_pool(config: StoreConfig, _pool: Arc<WorkerPool>) -> TraceStore {
+        TraceStore::new(config)
     }
 
-    /// An empty store whose refresh latency registers in `metrics` as the
-    /// `store.refresh_us` histogram (shared by every store on the same
-    /// registry — refresh cost is a per-server distribution, while
-    /// per-store counts stay in [`StoreStats`]).
-    pub fn with_metrics(
-        config: StoreConfig,
-        pool: Option<Arc<WorkerPool>>,
-        metrics: &MetricsRegistry,
-    ) -> TraceStore {
+    /// An empty store whose ingest and refresh latencies register in
+    /// `metrics` as the `store.ingest_us` and `store.refresh_us`
+    /// histograms (shared by every store on the same registry — ingest
+    /// and refresh cost are per-server distributions, while per-store
+    /// counts stay in [`StoreStats`]).
+    pub fn with_metrics(config: StoreConfig, metrics: &MetricsRegistry) -> TraceStore {
         let mut s = TraceStore::new(config);
-        s.pool = pool;
+        s.ingest_timer = metrics.histogram("store.ingest_us");
         s.refresh_timer = metrics.histogram("store.refresh_us");
         s
     }
@@ -227,8 +228,10 @@ impl TraceStore {
     /// Feeds a chunk of encoded log bytes (any framing; may end mid-line).
     /// Completed traces are appended to the columns immediately.
     pub fn ingest_bytes(&mut self, chunk: &[u8]) {
+        let started = std::time::Instant::now();
         self.decoder.push_bytes(chunk);
         self.flush_decoded();
+        self.ingest_timer.record_duration(started.elapsed());
     }
 
     /// Feeds a string chunk of encoded log.
@@ -248,8 +251,10 @@ impl TraceStore {
     /// partial line and any unterminated trace rather than ingesting
     /// them). The store accepts further streams afterwards.
     pub fn finish_ingest(&mut self) {
+        let started = std::time::Instant::now();
         self.decoder.finish();
         self.flush_decoded();
+        self.ingest_timer.record_duration(started.elapsed());
     }
 
     fn flush_decoded(&mut self) {
@@ -262,8 +267,7 @@ impl TraceStore {
             self.decoder.objects(),
             self.decoder.channels(),
         );
-        self.columns
-            .append_batch(traces, &m, &o, &c, self.pool.as_deref());
+        self.columns.append_batch(traces, &m, &o, &c);
         self.columns.apply_retention(self.config.retention);
     }
 
@@ -273,8 +277,7 @@ impl TraceStore {
         let (m, o, c) = self
             .columns
             .remap_tables(&set.methods, &set.objects, &set.channels);
-        self.columns
-            .append_batch(set.traces.clone(), &m, &o, &c, self.pool.as_deref());
+        self.columns.append_batch(set.traces.clone(), &m, &o, &c);
         self.columns.apply_retention(self.config.retention);
     }
 
@@ -285,8 +288,7 @@ impl TraceStore {
         let (m, o, c) = self
             .columns
             .remap_tables(&names.methods, &names.objects, &names.channels);
-        self.columns
-            .append_batch(vec![trace], &m, &o, &c, self.pool.as_deref());
+        self.columns.append_batch(vec![trace], &m, &o, &c);
         self.columns.apply_retention(self.config.retention);
     }
 
@@ -362,7 +364,7 @@ impl TraceStore {
     /// and returns it (`None` until at least one failure is stored).
     pub fn refresh(&mut self) -> Option<&AidAnalysis> {
         let started = std::time::Instant::now();
-        self.view.refresh(&self.columns, self.pool.as_deref());
+        self.view.refresh(&self.columns);
         self.refresh_timer.record_duration(started.elapsed());
         self.view.analysis()
     }

@@ -22,8 +22,7 @@
 //!   breaks), the view falls back to a full pass-2 rebuild for that
 //!   refresh and says so in its telemetry.
 //! * **Evaluation** extends per trace: stored window vectors grow by
-//!   exactly the new catalog suffix (`aid_predicates::evaluate_extend`),
-//!   optionally fanned across the engine worker pool.
+//!   exactly the new catalog suffix (`aid_predicates::evaluate_extend`).
 //! * **SD** is counted from per-predicate occurrence bitmaps
 //!   (`aid_util::DenseBitSet` over trace ids) rather than by re-scanning
 //!   observations.
@@ -43,7 +42,6 @@
 use crate::columns::ColumnStore;
 use aid_causal::{AcDagBuilder, TypeAwarePolicy};
 use aid_core::AidAnalysis;
-use aid_engine::WorkerPool;
 use aid_predicates::{
     evaluate_extend, scan_failure, success_return_map, Extraction, ExtractionConfig, Predicate,
     PredicateCatalog, PredicateId, PredicateKind, RunObservation, SuccessStats,
@@ -52,7 +50,6 @@ use aid_sd::{PredicateScore, SdReport};
 use aid_trace::{FailureSignature, MethodEvent, Time, Trace};
 use aid_util::DenseBitSet;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// Telemetry for the incremental machinery: how often the cheap paths held.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -204,10 +201,8 @@ impl StoreView {
 
     /// Folds every store change beyond this view's high-water mark —
     /// appended traces, and evictions, which trigger a refold of the whole
-    /// retained window — and republishes the analysis. `pool` (when given)
-    /// fans the per-trace evaluation work out across the engine's workers;
-    /// the result is identical either way.
-    pub fn refresh(&mut self, store: &ColumnStore, pool: Option<&WorkerPool>) {
+    /// retained window — and republishes the analysis.
+    pub fn refresh(&mut self, store: &ColumnStore) {
         if store.base() != self.base {
             // The store evicted traces this fold still incorporates (pass-1
             // folds are not invertible), so replay the retained window.
@@ -253,10 +248,10 @@ impl StoreView {
 
         let rebuilt = self.stats_dirty;
         if rebuilt {
-            self.rebuild_catalog(store, pool);
+            self.rebuild_catalog(store);
             self.stats_dirty = false;
         } else {
-            self.extend_catalog(store, &new_traces, first_new, pool);
+            self.extend_catalog(store, &new_traces, first_new);
         }
         self.publish(store, rebuilt);
     }
@@ -362,13 +357,7 @@ impl StoreView {
 
     /// Cheap path: scan only the not-yet-scanned failures into the existing
     /// catalog, then grow every trace's windows by the new catalog suffix.
-    fn extend_catalog(
-        &mut self,
-        store: &ColumnStore,
-        new_traces: &[Trace],
-        first_new: usize,
-        pool: Option<&WorkerPool>,
-    ) {
+    fn extend_catalog(&mut self, store: &ColumnStore, new_traces: &[Trace], first_new: usize) {
         self.view_stats.extensions += 1;
         let old_len = self.catalog.len();
         while self.scanned < self.failures.len() {
@@ -387,31 +376,29 @@ impl StoreView {
             );
             self.scanned += 1;
         }
-        let catalog = Arc::new(self.catalog.clone());
         // Old traces: extend by the new suffix (skip entirely when the
         // catalog didn't grow). New traces: evaluate the whole catalog.
+        let catalog = &self.catalog;
         if catalog.len() > old_len {
-            let old: Vec<Trace> = (self.base..first_new).map(|g| store.trace(g)).collect();
-            let old_windows = std::mem::take(&mut self.windows);
-            debug_assert_eq!(old_windows.len(), old.len());
-            self.windows = evaluate_all(&catalog, old, old_windows, pool);
+            debug_assert_eq!(self.windows.len(), first_new - self.base);
+            for (rel, w) in self.windows.iter_mut().enumerate() {
+                evaluate_extend(catalog, &store.trace(self.base + rel), w);
+            }
             self.view_stats.windows_evaluated +=
                 ((first_new - self.base) * (catalog.len() - old_len)) as u64;
         }
-        let fresh = evaluate_all(
-            &catalog,
-            new_traces.to_vec(),
-            new_traces.iter().map(|_| Vec::new()).collect(),
-            pool,
-        );
-        self.view_stats.windows_evaluated += (fresh.len() * catalog.len()) as u64;
-        self.windows.extend(fresh);
+        for t in new_traces {
+            let mut w = Vec::with_capacity(catalog.len());
+            evaluate_extend(catalog, t, &mut w);
+            self.windows.push(w);
+        }
+        self.view_stats.windows_evaluated += (new_traces.len() * catalog.len()) as u64;
         self.sync_occurrence(old_len, first_new);
     }
 
     /// Expensive path: pass-1 statistics moved, so the whole failure scan
     /// (and every trace's windows) must be recomputed against them.
-    fn rebuild_catalog(&mut self, store: &ColumnStore, pool: Option<&WorkerPool>) {
+    fn rebuild_catalog(&mut self, store: &ColumnStore) {
         self.view_stats.rebuilds += 1;
         self.catalog = PredicateCatalog::new();
         self.scanned = 0;
@@ -430,10 +417,14 @@ impl StoreView {
             );
             self.scanned += 1;
         }
-        let catalog = Arc::new(self.catalog.clone());
-        let all: Vec<Trace> = (self.base..self.seen).map(|g| store.trace(g)).collect();
-        let empty: Vec<Vec<Option<(Time, Time)>>> = all.iter().map(|_| Vec::new()).collect();
-        self.windows = evaluate_all(&catalog, all, empty, pool);
+        let catalog = &self.catalog;
+        self.windows = (self.base..self.seen)
+            .map(|g| {
+                let mut w = Vec::with_capacity(catalog.len());
+                evaluate_extend(catalog, &store.trace(g), &mut w);
+                w
+            })
+            .collect();
         self.view_stats.windows_evaluated += ((self.seen - self.base) * catalog.len()) as u64;
         self.occurrence.clear();
         self.sync_occurrence(0, self.base);
@@ -570,42 +561,5 @@ impl StoreView {
             candidates,
             dag,
         });
-    }
-}
-
-/// Evaluates (or extends) windows for a batch of traces, fanning across the
-/// pool when one is provided. `prefixes[i]` is trace `i`'s already-computed
-/// window prefix (empty for a full evaluation); results join in input order
-/// either way.
-fn evaluate_all(
-    catalog: &Arc<PredicateCatalog>,
-    traces: Vec<Trace>,
-    prefixes: Vec<Vec<Option<(Time, Time)>>>,
-    pool: Option<&WorkerPool>,
-) -> Vec<Vec<Option<(Time, Time)>>> {
-    debug_assert_eq!(traces.len(), prefixes.len());
-    match pool {
-        Some(pool) if traces.len() > 1 => {
-            let jobs: Vec<Box<dyn FnOnce() -> Vec<Option<(Time, Time)>> + Send>> = traces
-                .into_iter()
-                .zip(prefixes)
-                .map(|(t, mut w)| {
-                    let catalog = Arc::clone(catalog);
-                    Box::new(move || {
-                        evaluate_extend(&catalog, &t, &mut w);
-                        w
-                    }) as Box<dyn FnOnce() -> Vec<Option<(Time, Time)>> + Send>
-                })
-                .collect();
-            pool.run_batch(jobs)
-        }
-        _ => traces
-            .into_iter()
-            .zip(prefixes)
-            .map(|(t, mut w)| {
-                evaluate_extend(catalog, &t, &mut w);
-                w
-            })
-            .collect(),
     }
 }

@@ -124,7 +124,7 @@ proptest! {
         let text = codec::encode(&set);
         let mut columns = ColumnStore::new(shards);
         let (m, o, c) = columns.remap_tables(&set.methods, &set.objects, &set.channels);
-        columns.append_batch(set.traces.clone(), &m, &o, &c, None);
+        columns.append_batch(set.traces.clone(), &m, &o, &c);
         prop_assert_eq!(columns.len(), set.traces.len());
         let back = columns.to_trace_set();
         prop_assert_eq!(&back.traces, &set.traces);

@@ -20,16 +20,12 @@ fn snapshot_sourced_discovery_matches_traceset_sourced() {
     // Path A: classic in-memory batch analysis.
     let batch = analyze(&set, &case.config);
 
-    // Path B: the same corpus streamed into a store as encoded bytes,
-    // with the engine's own pool fanning the ingestion work.
+    // Path B: the same corpus streamed into a store as encoded bytes.
     let engine = Engine::with_workers(2);
-    let mut store = TraceStore::with_pool(
-        StoreConfig {
-            extraction: case.config.clone(),
-            ..StoreConfig::default()
-        },
-        engine.pool(),
-    );
+    let mut store = TraceStore::new(StoreConfig {
+        extraction: case.config.clone(),
+        ..StoreConfig::default()
+    });
     let encoded = codec::encode(&set);
     for chunk in encoded.as_bytes().chunks(4096) {
         store.ingest_bytes(chunk);

@@ -46,6 +46,19 @@ impl Default for Fnv1a {
     }
 }
 
+/// Lets structural types fingerprint through `#[derive(Hash)]` instead of
+/// through a rendered text: `value.hash(&mut fnv)` feeds the same FNV-1a
+/// state the inherent methods do.
+impl std::hash::Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        Fnv1a::write(self, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// One-shot FNV-1a over a byte slice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
@@ -73,5 +86,17 @@ mod tests {
         let mut a = Fnv1a::new();
         a.write_u64(7);
         assert_eq!(a.finish(), fnv1a(&7u64.to_le_bytes()));
+    }
+
+    #[test]
+    fn hasher_impl_matches_inherent_methods() {
+        use std::hash::Hasher;
+        let mut inherent = Fnv1a::new();
+        inherent.write(b"foo").write(b"bar");
+        let mut hasher = Fnv1a::new();
+        Hasher::write(&mut hasher, b"foo");
+        Hasher::write(&mut hasher, b"bar");
+        assert_eq!(Hasher::finish(&hasher), inherent.finish());
+        assert_eq!(Hasher::finish(&hasher), fnv1a(b"foobar"));
     }
 }

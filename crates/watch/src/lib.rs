@@ -218,7 +218,7 @@ pub struct Watcher {
 impl Watcher {
     /// A standing query over `simulator`, submitting re-probes to `engine`.
     pub fn new(config: WatchConfig, simulator: Arc<Simulator>, engine: EngineHandle) -> Watcher {
-        let store = TraceStore::with_pool(config.store.clone(), engine.pool());
+        let store = TraceStore::new(config.store.clone());
         Watcher {
             config,
             store,
