@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks for the trace store: streaming decode
-//! throughput, end-to-end ingestion into the sharded columns, and the full
+//! throughput, end-to-end ingestion into the trace window, and the full
 //! ingest-plus-analysis pipeline over a 100-run case-study corpus.
 
 use aid_cases::npgsql;

@@ -10,9 +10,25 @@
 
 use std::path::{Path, PathBuf};
 
-/// The workspace root (two levels above this crate's manifest).
+/// The workspace root of the checkout being run: the nearest directory at
+/// or above the current one whose `Cargo.toml` declares `[workspace]`.
+/// `cargo run` starts in the root and `cargo bench` in `crates/bench`, so
+/// both find it. Falls back to the current directory.
 pub fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    let cwd = std::env::current_dir().expect("current directory");
+    workspace_root(&cwd).unwrap_or(cwd)
+}
+
+/// The nearest of `start` and its ancestors whose `Cargo.toml` has a
+/// `[workspace]` table.
+fn workspace_root(start: &Path) -> Option<PathBuf> {
+    start
+        .ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|toml| toml.lines().any(|line| line.trim() == "[workspace]"))
+        })
+        .map(Path::to_path_buf)
 }
 
 /// Parses a flat `{"key": number, ...}` object. Unparseable fragments are
@@ -86,6 +102,22 @@ mod tests {
         assert!((back[0].1 - 4.25).abs() < 1e-9);
         assert_eq!(back[1].0, "b_per_s");
         assert!((back[1].1 - 123.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn workspace_root_is_the_nearest_workspace_manifest() {
+        let root = std::env::temp_dir().join(format!("aid-bench-root-{}", std::process::id()));
+        let bench = root.join("crates/bench");
+        std::fs::create_dir_all(bench.join("benches")).unwrap();
+        std::fs::write(
+            root.join("Cargo.toml"),
+            "[workspace]\nmembers = [\"crates/*\"]\n\n[workspace.package]\n",
+        )
+        .unwrap();
+        std::fs::write(bench.join("Cargo.toml"), "[package]\nname = \"bench\"\n").unwrap();
+        let found = [&root, &bench, &bench.join("benches")].map(|dir| workspace_root(dir));
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(found, [Some(root.clone()), Some(root.clone()), Some(root)]);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! 2. **framing independence** — the `aid_store::StreamDecoder` fed the
 //!    same bytes under any chunking produces the same traces with an empty
 //!    quarantine;
-//! 3. **columnar losslessness** — `ColumnStore` re-materializes the corpus
-//!    byte-identically;
+//! 3. **window losslessness** — the store's `TraceWindow` keeps the corpus
+//!    so that it re-encodes byte-identically;
 //! 4. **incremental ≡ batch** — the store's incrementally maintained
 //!    analysis is structurally identical to `aid_core::analyze` recomputed
 //!    from scratch at every prefix.
@@ -301,14 +301,13 @@ pub fn corpus_violations(
 
     // Invariants 3 and 4 are defined on decodable corpora only: a set that
     // already failed (1) (e.g. a deliberately poisoned shrink reproducer)
-    // references ids the columnar arenas cannot resolve.
+    // references ids the store's name arenas cannot resolve.
     if !decodable {
         return out;
     }
 
-    // (3) columnar losslessness.
+    // (3) window losslessness.
     let mut store = TraceStore::new(StoreConfig {
-        shards: 3,
         extraction: config.clone(),
         ..StoreConfig::default()
     });
@@ -316,9 +315,9 @@ pub fn corpus_violations(
     let re = codec::encode(&store.to_trace_set());
     if re != text {
         violate(
-            "columnar-roundtrip",
+            "window-roundtrip",
             format!(
-                "column re-encode differs ({} vs {} bytes)",
+                "window re-encode differs ({} vs {} bytes)",
                 re.len(),
                 text.len()
             ),
@@ -328,7 +327,6 @@ pub fn corpus_violations(
     // (4) incremental ≡ batch at every checked prefix.
     let stride = prefix_stride.max(1);
     let mut store = TraceStore::new(StoreConfig {
-        shards: 3,
         extraction: config.clone(),
         ..StoreConfig::default()
     });
@@ -618,7 +616,6 @@ pub fn check_scenario_on(
         let mut watcher = Watcher::new(
             WatchConfig {
                 store: StoreConfig {
-                    shards: 3,
                     extraction: scenario.config.clone(),
                     ..StoreConfig::default()
                 },

@@ -1,7 +1,7 @@
 //! Replays the committed regression corpus under `crates/lab/corpus/`
 //! against the corpus-level conformance invariants. Entries are minimized
 //! (see `regenerate_committed_corpus`) so the replay is cheap, but each
-//! still drives the full codec → streaming → columnar → incremental path.
+//! still drives the full codec → streaming → window → incremental path.
 
 use aid_core::analyze;
 use aid_lab::{corpus_violations, default_corpus_dir, load_dir, BugClass};

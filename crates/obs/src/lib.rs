@@ -1,6 +1,6 @@
 //! `aid_obs` — the unified telemetry plane.
 //!
-//! Every tier of the service — reactor, handler pool, engine, columnar
+//! Every tier of the service — reactor, handler pool, engine, trace
 //! store, watchers — used to report through its own ad-hoc struct of
 //! counters. This crate replaces those with one substrate:
 //!
@@ -22,8 +22,8 @@
 //! (or `0`/`false`) makes every `record` a no-op behind a single cached
 //! bool. Counters and gauges are *always* live — they are the single
 //! source of truth behind the stats structs (`ServerStats`,
-//! `EngineStats`, `ColumnStats`, `WatchStats`), which read through
-//! registry handles rather than their own atomics.
+//! `EngineStats`, `WatchStats`), which read through registry handles
+//! rather than their own atomics.
 //!
 //! ```
 //! use aid_obs::MetricsRegistry;

@@ -289,7 +289,7 @@ pub struct ServerStats {
     pub peak_pending: u64,
     /// Stores: traces evicted by windowed retention, across connections.
     pub store_evicted: u64,
-    /// Stores: shard compaction passes that evicted at least one trace.
+    /// Stores: eviction passes that dropped at least one trace.
     pub store_compactions: u64,
     /// Standing queries: candidate predicates re-probed after a delta.
     pub view_reprobed: u64,
@@ -546,8 +546,8 @@ impl StoreFold {
         let now = StoreFold {
             traces: stats.ingest.traces,
             quarantined: stats.ingest.quarantined,
-            evicted: stats.columns.evicted as u64,
-            compactions: stats.columns.compactions as u64,
+            evicted: stats.window.evicted as u64,
+            compactions: stats.window.compactions as u64,
             reprobed: stats.view.predicates_reprobed,
             skipped: stats.view.predicates_skipped,
         };

@@ -1,4 +1,4 @@
-//! `aid_store` — streaming trace ingestion, a sharded columnar trace store,
+//! `aid_store` — streaming trace ingestion, a retained window of traces,
 //! and incrementally maintained observation-phase analysis.
 //!
 //! The paper's offline phase consumes *accumulated production telemetry*:
@@ -12,10 +12,10 @@
 //!    size, validates per line, and **quarantines** malformed records
 //!    (typed [`aid_trace::codec::DecodeErrorKind`]) instead of aborting
 //!    the batch.
-//! 2. **Columnar storage** ([`ColumnStore`]) — traces normalized into
-//!    append-only per-field columns with interned names, sharded by trace
-//!    id, columnarized on the calling thread, and losslessly
-//!    re-materializable.
+//! 2. **The trace window** ([`TraceWindow`]) — the retained traces in
+//!    arrival order, remapped into the store's name arenas and normalized,
+//!    each kept once and borrowed by global id; count- and age-bounded
+//!    retention evicts from the front without renumbering.
 //! 3. **Incremental analysis** ([`StoreView`]) — predicate catalog,
 //!    per-run observations, SD scores, and the AC-DAG kept up to date as
 //!    traces arrive, structurally identical to batch recomputation at
@@ -76,13 +76,13 @@
 //! assert_eq!(incremental.candidates, batch.candidates);
 //! ```
 
-pub mod columns;
 pub mod ingest;
 pub mod view;
+pub mod window;
 
-pub use columns::{ColumnStats, ColumnStore, KindTag, RetentionPolicy};
 pub use ingest::{IngestStats, Quarantined, StreamDecoder};
 pub use view::{StoreView, ViewStats};
+pub use window::{RetentionPolicy, TraceWindow, WindowStats};
 
 use aid_causal::AcDag;
 use aid_core::{AidAnalysis, Strategy};
@@ -93,11 +93,9 @@ use aid_sim::Simulator;
 use aid_trace::{FailureSignature, Trace, TraceSet};
 use std::sync::Arc;
 
-/// Store sizing and analysis configuration.
-#[derive(Clone, Debug)]
+/// Store analysis and retention configuration.
+#[derive(Clone, Debug, Default)]
 pub struct StoreConfig {
-    /// Column shards (traces are distributed round-robin by global id).
-    pub shards: usize,
     /// Extraction configuration the incremental view analyzes under.
     pub extraction: ExtractionConfig,
     /// Windowed-retention policy, enforced after every append. The default
@@ -105,23 +103,13 @@ pub struct StoreConfig {
     pub retention: RetentionPolicy,
 }
 
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig {
-            shards: 8,
-            extraction: ExtractionConfig::default(),
-            retention: RetentionPolicy::default(),
-        }
-    }
-}
-
 /// Aggregate store telemetry.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StoreStats {
     /// Streaming-decoder counters (bytes, lines, quarantines).
     pub ingest: IngestStats,
-    /// Column row counts.
-    pub columns: ColumnStats,
+    /// Retained-window row counts.
+    pub window: WindowStats,
     /// Incremental-analysis path counters.
     pub view: ViewStats,
 }
@@ -171,12 +159,12 @@ impl StoreSnapshot {
     }
 }
 
-/// The assembled store: streaming decoder → sharded columns → incremental
+/// The assembled store: streaming decoder → trace window → incremental
 /// analysis, behind one handle.
 pub struct TraceStore {
     config: StoreConfig,
     decoder: StreamDecoder,
-    columns: ColumnStore,
+    window: TraceWindow,
     view: StoreView,
     /// Wall time of each [`TraceStore::ingest_bytes`] and
     /// [`TraceStore::finish_ingest`] (`store.ingest_us` when registered; a
@@ -188,15 +176,13 @@ pub struct TraceStore {
 }
 
 impl TraceStore {
-    /// An empty store. Columnarization and evaluation run on the caller's
-    /// thread.
+    /// An empty store. Ingestion and evaluation run on the caller's thread.
     pub fn new(config: StoreConfig) -> TraceStore {
-        let columns = ColumnStore::new(config.shards);
         let view = StoreView::new(config.extraction.clone());
         TraceStore {
             config,
             decoder: StreamDecoder::new(),
-            columns,
+            window: TraceWindow::new(),
             view,
             ingest_timer: Histogram::detached(false),
             refresh_timer: Histogram::detached(false),
@@ -226,7 +212,7 @@ impl TraceStore {
     }
 
     /// Feeds a chunk of encoded log bytes (any framing; may end mid-line).
-    /// Completed traces are appended to the columns immediately.
+    /// Completed traces are appended to the window immediately.
     pub fn ingest_bytes(&mut self, chunk: &[u8]) {
         let started = std::time::Instant::now();
         self.decoder.push_bytes(chunk);
@@ -262,23 +248,23 @@ impl TraceStore {
         if traces.is_empty() {
             return;
         }
-        let (m, o, c) = self.columns.remap_tables(
+        let (m, o, c) = self.window.remap_tables(
             self.decoder.methods(),
             self.decoder.objects(),
             self.decoder.channels(),
         );
-        self.columns.append_batch(traces, &m, &o, &c);
-        self.columns.apply_retention(self.config.retention);
+        self.window.append_batch(traces, &m, &o, &c);
+        self.window.apply_retention(self.config.retention);
     }
 
     /// Appends every trace of an in-memory set (names resolved through the
     /// set's own arenas).
     pub fn append_set(&mut self, set: &TraceSet) {
         let (m, o, c) = self
-            .columns
+            .window
             .remap_tables(&set.methods, &set.objects, &set.channels);
-        self.columns.append_batch(set.traces.clone(), &m, &o, &c);
-        self.columns.apply_retention(self.config.retention);
+        self.window.append_batch(set.traces.clone(), &m, &o, &c);
+        self.window.apply_retention(self.config.retention);
     }
 
     /// Appends one live trace — e.g. straight from
@@ -286,62 +272,62 @@ impl TraceStore {
     /// trace's ids are relative to (use `Simulator::trace_set_skeleton`).
     pub fn append_run(&mut self, names: &TraceSet, trace: Trace) {
         let (m, o, c) = self
-            .columns
+            .window
             .remap_tables(&names.methods, &names.objects, &names.channels);
-        self.columns.append_batch(vec![trace], &m, &o, &c);
-        self.columns.apply_retention(self.config.retention);
+        self.window.append_batch(vec![trace], &m, &o, &c);
+        self.window.apply_retention(self.config.retention);
     }
 
     /// Evicts the `count` oldest retained traces immediately, regardless of
     /// the configured policy. Returns the number evicted.
     pub fn evict_front(&mut self, count: usize) -> usize {
-        self.columns.evict_front(count)
+        self.window.evict_front(count)
     }
 
     /// Applies a one-off retention policy (the configured one runs after
     /// every append regardless). Returns the number evicted.
     pub fn apply_retention(&mut self, policy: RetentionPolicy) -> usize {
-        self.columns.apply_retention(policy)
+        self.window.apply_retention(policy)
     }
 
     /// Traces retained.
     pub fn len(&self) -> usize {
-        self.columns.len()
+        self.window.len()
     }
 
     /// True when nothing is retained.
     pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
+        self.window.is_empty()
     }
 
     /// The retained window of global ids (ids are stable across eviction).
     pub fn retained(&self) -> std::ops::Range<usize> {
-        self.columns.retained()
+        self.window.retained()
     }
 
     /// `(successes, failures)` retained.
     pub fn counts(&self) -> (usize, usize) {
         let failed = self
-            .columns
+            .window
             .retained()
-            .filter(|&g| self.columns.failed(g))
+            .filter(|&g| self.window.failed(g))
             .count();
-        (self.columns.len() - failed, failed)
+        (self.window.len() - failed, failed)
     }
 
-    /// Re-materializes one stored trace.
+    /// A copy of one retained trace.
     pub fn trace(&self, gid: usize) -> Trace {
-        self.columns.trace(gid)
+        self.window.get(gid).clone()
     }
 
-    /// Re-materializes the whole store as a labeled set.
+    /// Copies the retained window out as a labeled set.
     pub fn to_trace_set(&self) -> TraceSet {
-        self.columns.to_trace_set()
+        self.window.to_trace_set()
     }
 
-    /// Direct access to the columnar layer.
-    pub fn columns(&self) -> &ColumnStore {
-        &self.columns
+    /// Direct access to the retained window.
+    pub fn window(&self) -> &TraceWindow {
+        &self.window
     }
 
     /// Records quarantined by the streaming decoder.
@@ -364,7 +350,7 @@ impl TraceStore {
     /// and returns it (`None` until at least one failure is stored).
     pub fn refresh(&mut self) -> Option<&AidAnalysis> {
         let started = std::time::Instant::now();
-        self.view.refresh(&self.columns);
+        self.view.refresh(&self.window);
         self.refresh_timer.record_duration(started.elapsed());
         self.view.analysis()
     }
@@ -384,7 +370,7 @@ impl TraceStore {
     pub fn stats(&self) -> StoreStats {
         StoreStats {
             ingest: self.decoder.stats(),
-            columns: self.columns.stats(),
+            window: self.window.stats(),
             view: self.view.stats(),
         }
     }

@@ -1,4 +1,4 @@
-//! The incrementally maintained analysis view over a [`ColumnStore`].
+//! The incrementally maintained analysis view over a [`TraceWindow`].
 //!
 //! [`StoreView::refresh`] folds newly appended traces into the observation-
 //! phase state — predicate catalog, per-run observations, SD scores, and
@@ -39,7 +39,7 @@
 //! collapse) are not invertible, so forgetting a trace means replaying the
 //! survivors — the `resets` counter makes that cost visible.
 
-use crate::columns::ColumnStore;
+use crate::window::TraceWindow;
 use aid_causal::{AcDagBuilder, TypeAwarePolicy};
 use aid_core::AidAnalysis;
 use aid_predicates::{
@@ -47,7 +47,7 @@ use aid_predicates::{
     PredicateCatalog, PredicateId, PredicateKind, RunObservation, SuccessStats,
 };
 use aid_sd::{PredicateScore, SdReport};
-use aid_trace::{FailureSignature, MethodEvent, Time, Trace};
+use aid_trace::{FailureSignature, MethodEvent, Outcome, Time, Trace};
 use aid_util::DenseBitSet;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -202,7 +202,7 @@ impl StoreView {
     /// Folds every store change beyond this view's high-water mark —
     /// appended traces, and evictions, which trigger a refold of the whole
     /// retained window — and republishes the analysis.
-    pub fn refresh(&mut self, store: &ColumnStore) {
+    pub fn refresh(&mut self, store: &TraceWindow) {
         if store.base() != self.base {
             // The store evicted traces this fold still incorporates (pass-1
             // folds are not invertible), so replay the retained window.
@@ -216,19 +216,15 @@ impl StoreView {
         let first_new = self.seen;
         self.failed_bits.resize(n - self.base);
         // Fold pass-1 state and label the newcomers.
-        let mut new_traces: Vec<Trace> = Vec::with_capacity(n - first_new);
         for gid in first_new..n {
-            let t = store.trace(gid);
-            if t.failed() {
-                if let aid_trace::Outcome::Failure(sig) = &t.outcome {
-                    *self.sig_counts.entry(sig.clone()).or_insert(0) += 1;
-                }
+            let t = store.get(gid);
+            if let Outcome::Failure(sig) = &t.outcome {
+                *self.sig_counts.entry(sig.clone()).or_insert(0) += 1;
                 self.failures.push(gid);
                 self.failed_bits.insert(gid - self.base);
             } else {
-                self.stats_dirty |= self.observe_success(&t);
+                self.stats_dirty |= self.observe_success(t);
             }
-            new_traces.push(t);
         }
         self.seen = n;
         if self.failures.is_empty() {
@@ -241,7 +237,7 @@ impl StoreView {
             // conformance harness: a success that leaves pass-1 statistics
             // untouched — e.g. an event-less trace — otherwise slips a
             // rowless gap past the `stats_dirty` rebuild trigger.)
-            self.windows.extend(new_traces.iter().map(|_| Vec::new()));
+            self.windows.resize(n - self.base, Vec::new());
             self.analysis = None;
             return;
         }
@@ -251,7 +247,7 @@ impl StoreView {
             self.rebuild_catalog(store);
             self.stats_dirty = false;
         } else {
-            self.extend_catalog(store, &new_traces, first_new);
+            self.extend_catalog(store, first_new);
         }
         self.publish(store, rebuilt);
     }
@@ -357,58 +353,57 @@ impl StoreView {
 
     /// Cheap path: scan only the not-yet-scanned failures into the existing
     /// catalog, then grow every trace's windows by the new catalog suffix.
-    fn extend_catalog(&mut self, store: &ColumnStore, new_traces: &[Trace], first_new: usize) {
+    fn extend_catalog(&mut self, store: &TraceWindow, first_new: usize) {
         self.view_stats.extensions += 1;
         let old_len = self.catalog.len();
-        while self.scanned < self.failures.len() {
-            // Mirrors the batch cap semantics: checked before each failure.
-            if self.catalog.len() >= self.config.max_predicates {
-                break;
-            }
-            let t = store.trace(self.failures[self.scanned]);
-            scan_failure(
-                &t.events,
-                &self.config,
-                &self.stats,
-                &self.orders,
-                &self.success_returns,
-                &mut self.catalog,
-            );
-            self.scanned += 1;
-        }
+        self.scan_failures(store);
         // Old traces: extend by the new suffix (skip entirely when the
         // catalog didn't grow). New traces: evaluate the whole catalog.
         let catalog = &self.catalog;
         if catalog.len() > old_len {
             debug_assert_eq!(self.windows.len(), first_new - self.base);
             for (rel, w) in self.windows.iter_mut().enumerate() {
-                evaluate_extend(catalog, &store.trace(self.base + rel), w);
+                evaluate_extend(catalog, store.get(self.base + rel), w);
             }
             self.view_stats.windows_evaluated +=
                 ((first_new - self.base) * (catalog.len() - old_len)) as u64;
         }
-        for t in new_traces {
+        for gid in first_new..self.seen {
             let mut w = Vec::with_capacity(catalog.len());
-            evaluate_extend(catalog, t, &mut w);
+            evaluate_extend(catalog, store.get(gid), &mut w);
             self.windows.push(w);
         }
-        self.view_stats.windows_evaluated += (new_traces.len() * catalog.len()) as u64;
+        self.view_stats.windows_evaluated += ((self.seen - first_new) * catalog.len()) as u64;
         self.sync_occurrence(old_len, first_new);
     }
 
     /// Expensive path: pass-1 statistics moved, so the whole failure scan
     /// (and every trace's windows) must be recomputed against them.
-    fn rebuild_catalog(&mut self, store: &ColumnStore) {
+    fn rebuild_catalog(&mut self, store: &TraceWindow) {
         self.view_stats.rebuilds += 1;
         self.catalog = PredicateCatalog::new();
         self.scanned = 0;
-        while self.scanned < self.failures.len() {
-            if self.catalog.len() >= self.config.max_predicates {
-                break;
-            }
-            let t = store.trace(self.failures[self.scanned]);
+        self.scan_failures(store);
+        let catalog = &self.catalog;
+        self.windows = (self.base..self.seen)
+            .map(|g| {
+                let mut w = Vec::with_capacity(catalog.len());
+                evaluate_extend(catalog, store.get(g), &mut w);
+                w
+            })
+            .collect();
+        self.view_stats.windows_evaluated += ((self.seen - self.base) * catalog.len()) as u64;
+        self.occurrence.clear();
+        self.sync_occurrence(0, self.base);
+    }
+
+    /// Scans the not-yet-scanned failures into the catalog. Mirrors the
+    /// batch cap semantics: the cap is checked before each failure.
+    fn scan_failures(&mut self, store: &TraceWindow) {
+        while self.scanned < self.failures.len() && self.catalog.len() < self.config.max_predicates
+        {
             scan_failure(
-                &t.events,
+                &store.get(self.failures[self.scanned]).events,
                 &self.config,
                 &self.stats,
                 &self.orders,
@@ -417,17 +412,6 @@ impl StoreView {
             );
             self.scanned += 1;
         }
-        let catalog = &self.catalog;
-        self.windows = (self.base..self.seen)
-            .map(|g| {
-                let mut w = Vec::with_capacity(catalog.len());
-                evaluate_extend(catalog, &store.trace(g), &mut w);
-                w
-            })
-            .collect();
-        self.view_stats.windows_evaluated += ((self.seen - self.base) * catalog.len()) as u64;
-        self.occurrence.clear();
-        self.sync_occurrence(0, self.base);
     }
 
     /// Brings the per-predicate occurrence bitmaps in line with `windows`:
@@ -463,7 +447,7 @@ impl StoreView {
     }
 
     /// Assembles and publishes the full analysis from incremental state.
-    fn publish(&mut self, store: &ColumnStore, rebuilt: bool) {
+    fn publish(&mut self, store: &TraceWindow, rebuilt: bool) {
         // Majority signature, with the batch tie-break (last maximum in
         // ascending signature order).
         let signature = self
@@ -485,16 +469,13 @@ impl StoreView {
         // windows plus the failure window.
         let observations: Vec<RunObservation> = (self.base..self.seen)
             .map(|gid| {
+                let t = store.get(gid);
                 let mut w = self.windows[gid - self.base].clone();
-                let f_window = match store.signature(gid) {
-                    Some(sig) if sig == signature => {
-                        let (_, duration) = store.header(gid);
-                        Some((duration, duration))
-                    }
+                w.push(match &t.outcome {
+                    Outcome::Failure(sig) if *sig == signature => Some((t.duration, t.duration)),
                     _ => None,
-                };
-                w.push(f_window);
-                RunObservation::from_windows(store.failed(gid), w)
+                });
+                RunObservation::from_windows(t.failed(), w)
             })
             .collect();
 

@@ -1,11 +1,11 @@
-//! Property test: `ColumnStore` losslessly re-encodes *arbitrary* trace
+//! Property test: `TraceWindow` losslessly re-encodes *arbitrary* trace
 //! sets — not just the six case corpora the equivalence suite replays.
-//! Columnarization (interned names, packed flags, per-field columns,
-//! sharding) must be invisible: re-materializing the store and encoding it
-//! reproduces the original byte stream exactly, for any well-formed input
-//! and any shard count, with and without batch splits.
+//! Storing a trace (remapping into shared name arenas, normalizing) must be
+//! invisible: copying the window out and encoding it reproduces the
+//! original byte stream exactly, for any well-formed input, with and
+//! without batch splits.
 
-use aid_store::{ColumnStore, StoreConfig, TraceStore};
+use aid_store::{StoreConfig, TraceStore, TraceWindow};
 use aid_trace::{
     codec, AccessEvent, AccessKind, FailureSignature, MethodEvent, MethodId, ObjectId, Outcome,
     ThreadId, Trace, TraceSet,
@@ -112,26 +112,24 @@ fn build_set(method_count: usize, object_count: usize, raw: Vec<RawTrace>) -> Tr
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Store → re-materialize → encode reproduces the original bytes for
-    /// any shard count.
+    /// Store → copy out → encode reproduces the original bytes.
     #[test]
     fn prop_column_store_reencodes_arbitrary_sets(
         raw_set in set_strategy(),
-        shards in 1usize..=5,
     ) {
         let (method_count, object_count, raw) = raw_set;
         let set = build_set(method_count, object_count, raw);
         let text = codec::encode(&set);
-        let mut columns = ColumnStore::new(shards);
-        let (m, o, c) = columns.remap_tables(&set.methods, &set.objects, &set.channels);
-        columns.append_batch(set.traces.clone(), &m, &o, &c);
-        prop_assert_eq!(columns.len(), set.traces.len());
-        let back = columns.to_trace_set();
+        let mut window = TraceWindow::new();
+        let (m, o, c) = window.remap_tables(&set.methods, &set.objects, &set.channels);
+        window.append_batch(set.traces.clone(), &m, &o, &c);
+        prop_assert_eq!(window.len(), set.traces.len());
+        let back = window.to_trace_set();
         prop_assert_eq!(&back.traces, &set.traces);
         prop_assert_eq!(codec::encode(&back), text);
-        // Per-trace re-materialization agrees with the bulk path.
+        // Per-trace access agrees with the bulk path.
         for (gid, t) in set.traces.iter().enumerate() {
-            prop_assert_eq!(&columns.trace(gid), t);
+            prop_assert_eq!(window.get(gid), t);
         }
     }
 

@@ -3,7 +3,7 @@
 //! append must produce, at *every* prefix, an analysis structurally
 //! identical to `aid_core::analyze` recomputed from scratch over that
 //! prefix — catalog, per-run observations, SD scores, candidate set, and
-//! AC-DAG alike. The columnar layer is additionally held to byte-identical
+//! AC-DAG alike. The trace window is additionally held to byte-identical
 //! codec round-trips at the end of each corpus.
 
 use aid_cases::{all_cases, collect_logs_sized};
@@ -99,7 +99,6 @@ fn stat_neutral_success_prefix_stays_aligned() {
 
     let config = aid_predicates::ExtractionConfig::default();
     let mut store = TraceStore::new(StoreConfig {
-        shards: 2,
         extraction: config.clone(),
         ..StoreConfig::default()
     });
@@ -130,7 +129,6 @@ fn every_prefix_of_every_case_corpus_matches_batch() {
     for case in all_cases() {
         let set = collect_logs_sized(&case, 15, 15);
         let mut store = TraceStore::new(StoreConfig {
-            shards: 3,
             extraction: case.config.clone(),
             ..StoreConfig::default()
         });
@@ -159,11 +157,11 @@ fn every_prefix_of_every_case_corpus_matches_batch() {
             let ctx = format!("{} prefix {}", case.name, k + 1);
             assert_analysis_eq(analysis.expect("failures present"), &batch, &ctx);
         }
-        // The columnar layer reproduces the corpus byte for byte.
+        // The trace window reproduces the corpus byte for byte.
         assert_eq!(
             codec::encode(&store.to_trace_set()),
             codec::encode(&set),
-            "{}: columnar round-trip",
+            "{}: window round-trip",
             case.name
         );
         // The incremental machinery must actually have taken its cheap

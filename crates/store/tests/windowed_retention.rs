@@ -15,8 +15,8 @@ use aid_trace::{
 use proptest::prelude::*;
 
 /// A small deterministic trace vocabulary for the schedule property: what
-/// matters here is the *bookkeeping* (extent rebasing, shard/row
-/// arithmetic, id stability), which arbitrary schedules stress far harder
+/// matters here is the *bookkeeping* (front eviction, tick and id
+/// stability), which arbitrary schedules stress far harder
 /// than arbitrary trace payloads do (`columns_roundtrip.rs` already covers
 /// payload diversity).
 fn trace(seed: u64, methods: &[MethodId], events: usize, failed: bool) -> Trace {
@@ -61,17 +61,14 @@ type Step = (
     usize,
 );
 
-fn schedule_strategy() -> impl Strategy<Value = (usize, Vec<Step>)> {
-    (
-        1usize..=5, // shard count
-        proptest::collection::vec(
-            (
-                proptest::collection::vec((0usize..4, any::<bool>()), 0..5),
-                (any::<bool>(), 0usize..7),
-                1usize..12,
-            ),
-            1..10,
+fn schedule_strategy() -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec(
+        (
+            proptest::collection::vec((0usize..4, any::<bool>()), 0..5),
+            (any::<bool>(), 0usize..7),
+            1usize..12,
         ),
+        1..10,
     )
 }
 
@@ -83,15 +80,11 @@ proptest! {
     /// accessors in agreement with full re-materialization.
     #[test]
     fn prop_any_eviction_schedule_preserves_retained_window(
-        schedule in schedule_strategy(),
+        steps in schedule_strategy(),
     ) {
-        let (shards, steps) = schedule;
         let mut names = TraceSet::new();
         let methods = vec![names.method("Reader"), names.method("Writer")];
-        let mut store = TraceStore::new(StoreConfig {
-            shards,
-            ..StoreConfig::default()
-        });
+        let mut store = TraceStore::new(StoreConfig::default());
         // The model: the full arrival sequence plus the count evicted.
         let mut arrived: Vec<Trace> = Vec::new();
         let mut evicted = 0usize;
@@ -139,10 +132,10 @@ proptest! {
             for gid in store.retained() {
                 let t = store.trace(gid);
                 prop_assert_eq!(&t, &arrived[gid]);
-                prop_assert_eq!(store.columns().header(gid), (t.seed, t.duration));
-                prop_assert_eq!(store.columns().failed(gid), t.failed());
+                prop_assert_eq!(store.window().header(gid), (t.seed, t.duration));
+                prop_assert_eq!(store.window().failed(gid), t.failed());
             }
-            prop_assert_eq!(store.columns().stats().evicted, evicted);
+            prop_assert_eq!(store.window().stats().evicted, evicted);
         }
     }
 }
@@ -200,7 +193,6 @@ fn every_prefix_matches_batch_over_retained_window() {
     for case in all_cases() {
         let set = collect_logs_sized(&case, 15, 15);
         let mut store = TraceStore::new(StoreConfig {
-            shards: 3,
             extraction: case.config.clone(),
             retention: RetentionPolicy::keep_last(WINDOW),
         });
@@ -231,13 +223,13 @@ fn every_prefix_matches_batch_over_retained_window() {
         // Every step past the window evicted exactly one trace.
         let stats = store.stats();
         assert_eq!(
-            stats.columns.evicted,
+            stats.window.evicted,
             set.traces.len() - WINDOW,
             "{}: eviction accounting",
             case.name
         );
         assert!(
-            stats.view.resets >= stats.columns.compactions as u64,
+            stats.view.resets >= stats.window.compactions as u64,
             "{}: each compaction forces a refold ({stats:?})",
             case.name
         );

@@ -623,7 +623,6 @@ mod tests {
             store: StoreConfig {
                 extraction: case.config.clone(),
                 retention: RetentionPolicy::keep_last(12),
-                ..StoreConfig::default()
             },
             runs_per_round: case.runs_per_round,
             ..WatchConfig::default()
@@ -634,7 +633,7 @@ mod tests {
             watcher.tick().expect("tick");
         }
         assert_eq!(watcher.store().len(), 12);
-        assert!(watcher.store_stats().columns.evicted > 0);
+        assert!(watcher.store_stats().window.evicted > 0);
         assert!(watcher.converged().is_some());
         engine.shutdown();
     }
