@@ -17,9 +17,10 @@ use crate::cache::{CacheKey, InterventionCache, Lease, Leased, PendingSlot};
 use crate::pool::WorkerPool;
 use aid_core::{BatchExecutor, ExecutionRecord, Executor, GroundTruth, OracleExecutor};
 use aid_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use aid_predicates::{evaluate, PredicateCatalog, PredicateId};
+use aid_predicates::{Evaluator, PredicateCatalog, PredicateId};
 use aid_sim::{plan_for, InterventionPlan, Simulator, VmError};
 use aid_util::Fnv1a;
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -84,9 +85,7 @@ impl EngineCounters {
 /// `SimExecutor` consumes, but computed positionally so that runs can
 /// execute in any order on any worker without perturbing it.
 pub struct PooledSimExecutor {
-    sim: Arc<Simulator>,
-    catalog: Arc<PredicateCatalog>,
-    failure: PredicateId,
+    prober: Arc<Prober>,
     runs_per_round: usize,
     first_seed: u64,
     rounds_issued: u64,
@@ -130,9 +129,12 @@ impl PooledSimExecutor {
         assert!(runs_per_round >= 1);
         let fingerprint = sim_fingerprint(&sim, &catalog, failure);
         PooledSimExecutor {
-            sim,
-            catalog,
-            failure,
+            prober: Arc::new(Prober {
+                sim,
+                catalog,
+                failure,
+                run_us: counters.run_us.clone(),
+            }),
             runs_per_round,
             first_seed,
             rounds_issued: 0,
@@ -155,15 +157,34 @@ impl PooledSimExecutor {
     }
 }
 
-impl PooledSimExecutor {
-    fn execute_one(&self, seed: u64, plan: &InterventionPlan) -> Result<ExecutionRecord, VmError> {
+thread_local! {
+    /// This thread's evaluation scratch: probes evaluate the lent trace
+    /// through it, so a warm probe allocates only its record's bitset.
+    static EVALUATOR: RefCell<Evaluator> = RefCell::new(Evaluator::default());
+}
+
+/// Everything a probe needs besides its seed and plan, shared by the
+/// executor and the pool jobs it submits.
+struct Prober {
+    sim: Arc<Simulator>,
+    catalog: Arc<PredicateCatalog>,
+    failure: PredicateId,
+    run_us: Histogram,
+}
+
+impl Prober {
+    /// Runs one probe: executes `(seed, plan)`, records the run's wall time
+    /// in `run_us`, and evaluates the lent trace into a record. A trap
+    /// comes back as the typed error.
+    fn probe(&self, seed: u64, plan: &InterventionPlan) -> Result<ExecutionRecord, VmError> {
         let started = Instant::now();
-        let trace = self.sim.try_run(seed, plan)?;
-        self.counters.run_us.record_duration(started.elapsed());
-        let obs = evaluate(&self.catalog, &trace);
-        Ok(ExecutionRecord {
-            failed: obs.holds(self.failure),
-            observed: obs.observed,
+        self.sim.try_run_with(seed, plan, |trace| {
+            self.run_us.record_duration(started.elapsed());
+            let observed = EVALUATOR.with(|e| e.borrow_mut().observed(&self.catalog, trace));
+            ExecutionRecord {
+                failed: observed.contains(self.failure.index()),
+                observed,
+            }
         })
     }
 }
@@ -190,7 +211,9 @@ impl BatchExecutor for PooledSimExecutor {
                 let seed = self.first_seed + round * runs as u64 + ri as u64;
                 let key = CacheKey::new(self.fingerprint, group, seed);
                 let lazy_plan = |plan: &mut Option<Arc<InterventionPlan>>| {
-                    Arc::clone(plan.get_or_insert_with(|| Arc::new(plan_for(&self.catalog, group))))
+                    Arc::clone(
+                        plan.get_or_insert_with(|| Arc::new(plan_for(&self.prober.catalog, group))),
+                    )
                 };
                 match self.cache.lease(key) {
                     Leased::Ready(rec) => *slot = Some(rec),
@@ -219,21 +242,9 @@ impl BatchExecutor for PooledSimExecutor {
             let jobs: Vec<Box<dyn FnOnce() -> Result<ExecutionRecord, VmError> + Send>> = owned
                 .iter()
                 .map(|&(_, _, _, seed, ref plan)| {
-                    let sim = Arc::clone(&self.sim);
-                    let catalog = Arc::clone(&self.catalog);
+                    let prober = Arc::clone(&self.prober);
                     let plan = Arc::clone(plan);
-                    let failure = self.failure;
-                    let run_us = self.counters.run_us.clone();
-                    Box::new(move || {
-                        let started = Instant::now();
-                        let trace = sim.try_run(seed, &plan)?;
-                        run_us.record_duration(started.elapsed());
-                        let obs = evaluate(&catalog, &trace);
-                        Ok(ExecutionRecord {
-                            failed: obs.holds(failure),
-                            observed: obs.observed,
-                        })
-                    })
+                    Box::new(move || prober.probe(seed, &plan))
                         as Box<dyn FnOnce() -> Result<ExecutionRecord, VmError> + Send>
                 })
                 .collect();
@@ -261,7 +272,7 @@ impl BatchExecutor for PooledSimExecutor {
             self.cache.lease_wait_us().record_duration(waited.elapsed());
             match published
                 .map(Ok)
-                .unwrap_or_else(|| self.execute_one(seed, &plan))
+                .unwrap_or_else(|| self.prober.probe(seed, &plan))
             {
                 Ok(rec) => results[gi][ri] = Some(rec),
                 Err(e) => {

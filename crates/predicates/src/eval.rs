@@ -32,106 +32,210 @@ impl RunObservation {
     /// re-evaluators (`aid_store`) share this so the two can never disagree
     /// about what "observed" means.
     pub fn from_windows(failed: bool, windows: Vec<Option<(Time, Time)>>) -> RunObservation {
-        let mut observed = DenseBitSet::new(windows.len());
-        for (i, w) in windows.iter().enumerate() {
-            if w.is_some() {
-                observed.insert(i);
-            }
-        }
         RunObservation {
             failed,
-            observed,
+            observed: observed_of(&windows),
             windows,
         }
     }
 }
 
-/// Fast lookup of a trace's events by `(method, instance)`: the events
-/// sorted by site, searched by bisection. When a site occurs more than
-/// once, the last such event in trace order wins.
-pub struct TraceIndex<'t> {
-    by_site: Vec<((u32, u32), &'t MethodEvent)>,
+/// The truth bitset of a window vector: predicate `i` holds iff its window
+/// exists.
+fn observed_of(windows: &[Option<(Time, Time)>]) -> DenseBitSet {
+    let mut observed = DenseBitSet::new(windows.len());
+    for (i, w) in windows.iter().enumerate() {
+        if w.is_some() {
+            observed.insert(i);
+        }
+    }
+    observed
 }
 
-impl<'t> TraceIndex<'t> {
-    /// Builds the index.
-    pub fn new(trace: &'t Trace) -> Self {
-        let mut by_site: Vec<_> = trace
-            .events
-            .iter()
-            .map(|e| ((e.method.raw(), e.instance), e))
-            .collect();
-        // Stable, so events sharing a site keep their trace order.
-        by_site.sort_by_key(|&(site, _)| site);
-        TraceIndex { by_site }
+/// Fast lookup of a trace's events by `(method, instance)`: the trace's
+/// event positions grouped by method (a counting sort, trace order within a
+/// method). When a site occurs more than once, the last such event in trace
+/// order wins.
+///
+/// In a normalized trace ([`Trace::normalize`]) every event's instance is
+/// its rank among its method's events, so a lookup is two array reads;
+/// other traces fall back to scanning the method's events.
+///
+/// The index holds positions, not borrows, so one index can be rebuilt in
+/// place for trace after trace ([`TraceIndex::rebuild`]) without
+/// allocating once it has grown to the largest trace.
+#[derive(Clone, Debug, Default)]
+pub struct TraceIndex {
+    /// Event positions grouped by method.
+    by_method: Vec<u32>,
+    /// `by_method[start[m]..start[m + 1]]` are method `m`'s events.
+    start: Vec<u32>,
+    /// Whether every event's instance is its rank within its method.
+    ranked: bool,
+}
+
+impl TraceIndex {
+    /// Builds the index of `trace`.
+    pub fn new(trace: &Trace) -> Self {
+        let mut idx = TraceIndex::default();
+        idx.rebuild(trace);
+        idx
     }
 
-    /// The event for a method instance, if it occurred.
-    pub fn event(&self, site: &MethodInstance) -> Option<&'t MethodEvent> {
-        let key = (site.method.raw(), site.instance);
-        let end = self.by_site.partition_point(|&(s, _)| s <= key);
-        match end.checked_sub(1).map(|i| self.by_site[i]) {
-            Some((s, e)) if s == key => Some(e),
-            _ => None,
+    /// Re-indexes for `trace`, reusing the index's storage.
+    pub fn rebuild(&mut self, trace: &Trace) {
+        let events = &trace.events;
+        let methods = events
+            .iter()
+            .map(|e| e.method.index() + 1)
+            .max()
+            .unwrap_or(0);
+        // Counts, then exclusive prefix sums: `start[m]` = first slot of `m`.
+        self.start.clear();
+        self.start.resize(methods + 1, 0);
+        for e in events {
+            self.start[e.method.index()] += 1;
         }
+        let mut next = 0;
+        for slot in &mut self.start {
+            let count = *slot;
+            *slot = next;
+            next += count;
+        }
+        // Place each event at its method's cursor; afterwards `start[m]` has
+        // advanced to the first slot of `m + 1`, so shift it back by one.
+        self.by_method.clear();
+        self.by_method.resize(events.len(), 0);
+        for (i, e) in events.iter().enumerate() {
+            let cursor = &mut self.start[e.method.index()];
+            self.by_method[*cursor as usize] = i as u32;
+            *cursor += 1;
+        }
+        self.start.copy_within(..methods, 1);
+        self.start[0] = 0;
+        self.ranked = (0..methods).all(|m| {
+            self.of_method(m)
+                .iter()
+                .enumerate()
+                .all(|(rank, &e)| events[e as usize].instance as usize == rank)
+        });
+    }
+
+    fn of_method(&self, m: usize) -> &[u32] {
+        &self.by_method[self.start[m] as usize..self.start[m + 1] as usize]
+    }
+
+    /// The event of `trace` (the trace this index was built for) for a
+    /// method instance, if it occurred.
+    pub fn event<'t>(&self, trace: &'t Trace, site: &MethodInstance) -> Option<&'t MethodEvent> {
+        let m = site.method.index();
+        if m + 1 >= self.start.len() {
+            return None;
+        }
+        let of_m = self.of_method(m);
+        let pos = if self.ranked {
+            of_m.get(site.instance as usize).copied()
+        } else {
+            of_m.iter()
+                .rev()
+                .copied()
+                .find(|&e| trace.events[e as usize].instance == site.instance)
+        };
+        pos.map(|e| &trace.events[e as usize])
     }
 }
 
 /// Evaluates every predicate in `catalog` against `trace`.
 pub fn evaluate(catalog: &PredicateCatalog, trace: &Trace) -> RunObservation {
     let mut windows: Vec<Option<(Time, Time)>> = Vec::with_capacity(catalog.len());
-    evaluate_extend(catalog, trace, &mut windows);
+    Evaluator::default().extend(catalog, trace, &mut windows);
     RunObservation::from_windows(trace.outcome.is_failure(), windows)
 }
 
-/// Extends `windows` — whose length marks how many catalog predicates are
-/// already evaluated for `trace` — with the windows of every remaining
-/// predicate, in id order. Incremental consumers append new catalog entries
-/// and call this per stored trace instead of re-evaluating the full catalog;
-/// [`evaluate`] itself is `evaluate_extend` from an empty prefix, so the two
-/// paths are identical by construction.
-pub fn evaluate_extend(
+/// Reusable evaluation scratch: a [`TraceIndex`] and a window buffer that
+/// are rebuilt in place per trace. Callers that evaluate many traces keep
+/// one (per thread) and so allocate only what they keep.
+#[derive(Clone, Debug, Default)]
+pub struct Evaluator {
+    index: TraceIndex,
+    windows: Vec<Option<(Time, Time)>>,
+}
+
+impl Evaluator {
+    /// Extends `windows` — whose length marks how many catalog predicates
+    /// are already evaluated for `trace` — with the windows of every
+    /// remaining predicate, in id order. Incremental consumers append new
+    /// catalog entries and call this per stored trace instead of
+    /// re-evaluating the full catalog; [`evaluate`] is this from an empty
+    /// prefix, so the two paths are identical by construction.
+    pub fn extend(
+        &mut self,
+        catalog: &PredicateCatalog,
+        trace: &Trace,
+        windows: &mut Vec<Option<(Time, Time)>>,
+    ) {
+        debug_assert!(windows.len() <= catalog.len(), "windows beyond catalog");
+        if windows.len() == catalog.len() {
+            return;
+        }
+        self.index.rebuild(trace);
+        extend_windows(catalog, trace, &self.index, windows);
+    }
+
+    /// Which catalog predicates hold in `trace`: the `observed` bitset of
+    /// [`evaluate`], without materializing the windows. The bitset is the
+    /// only allocation once the scratch is warm.
+    pub fn observed(&mut self, catalog: &PredicateCatalog, trace: &Trace) -> DenseBitSet {
+        let mut windows = std::mem::take(&mut self.windows);
+        windows.clear();
+        self.extend(catalog, trace, &mut windows);
+        let observed = observed_of(&windows);
+        self.windows = windows;
+        observed
+    }
+}
+
+/// The window loop shared by every evaluation entry point: decides each
+/// predicate from `windows.len()` on, in id order.
+fn extend_windows(
     catalog: &PredicateCatalog,
     trace: &Trace,
+    idx: &TraceIndex,
     windows: &mut Vec<Option<(Time, Time)>>,
 ) {
-    debug_assert!(windows.len() <= catalog.len(), "windows beyond catalog");
-    if windows.len() == catalog.len() {
-        return;
-    }
-    let idx = TraceIndex::new(trace);
+    let event = |site: &MethodInstance| idx.event(trace, site);
     for i in windows.len()..catalog.len() {
         let pred = catalog.get(crate::model::PredicateId::from_raw(i as u32));
         let window = match &pred.kind {
-            PredicateKind::DataRace { a, b, object } => match (idx.event(a), idx.event(b)) {
+            PredicateKind::DataRace { a, b, object } => match (event(a), event(b)) {
                 (Some(ea), Some(eb)) => data_race_witness(ea, eb, object.raw()),
                 _ => None,
             },
-            PredicateKind::MethodFails { site, kind } => idx.event(site).and_then(|e| {
+            PredicateKind::MethodFails { site, kind } => event(site).and_then(|e| {
                 (e.exception.as_deref() == Some(kind.as_str()) && !e.caught)
                     .then_some((e.start, e.end))
             }),
-            PredicateKind::RunsTooSlow { site, threshold } => idx
-                .event(site)
-                .and_then(|e| (e.duration() > *threshold).then_some((e.start, e.end))),
-            PredicateKind::RunsTooFast { site, threshold } => idx
-                .event(site)
-                .and_then(|e| (e.duration() < *threshold).then_some((e.start, e.end))),
+            PredicateKind::RunsTooSlow { site, threshold } => {
+                event(site).and_then(|e| (e.duration() > *threshold).then_some((e.start, e.end)))
+            }
+            PredicateKind::RunsTooFast { site, threshold } => {
+                event(site).and_then(|e| (e.duration() < *threshold).then_some((e.start, e.end)))
+            }
             PredicateKind::WrongReturn { site, expected } => {
-                idx.event(site).and_then(|e| match e.returned {
+                event(site).and_then(|e| match e.returned {
                     Some(v) if v != *expected => Some((e.start, e.end)),
                     _ => None,
                 })
             }
             PredicateKind::OrderViolation { first, second, .. } => {
-                match (idx.event(first), idx.event(second)) {
+                match (event(first), event(second)) {
                     (Some(ef), Some(es)) if ef.end >= es.start => {
                         Some((es.start.min(ef.end), ef.end.max(es.start)))
                     }
                     _ => None,
                 }
             }
-            PredicateKind::ValueCollision { a, b } => match (idx.event(a), idx.event(b)) {
+            PredicateKind::ValueCollision { a, b } => match (event(a), event(b)) {
                 (Some(ea), Some(eb)) => match (ea.returned, eb.returned) {
                     (Some(x), Some(y)) if x == y => {
                         let at = ea.end.max(eb.end);
@@ -250,19 +354,41 @@ mod tests {
             false,
         );
         let idx = TraceIndex::new(&t);
-        assert_eq!(idx.event(&site(5, 1)).map(|e| e.start), Some(0));
-        assert_eq!(idx.event(&site(0, 3)).map(|e| e.start), Some(6));
+        assert_eq!(idx.event(&t, &site(5, 1)).map(|e| e.start), Some(0));
+        assert_eq!(idx.event(&t, &site(0, 3)).map(|e| e.start), Some(6));
         assert_eq!(
-            idx.event(&site(2, 0)).and_then(|e| e.returned),
+            idx.event(&t, &site(2, 0)).and_then(|e| e.returned),
             Some(2),
             "the later of two events at one site wins"
         );
         for absent in [site(0, 0), site(2, 1), site(3, 0), site(9, 9)] {
-            assert!(idx.event(&absent).is_none(), "{absent} never ran");
+            assert!(idx.event(&t, &absent).is_none(), "{absent} never ran");
         }
-        assert!(TraceIndex::new(&trace(vec![], false))
-            .event(&site(0, 0))
-            .is_none());
+        let empty = trace(vec![], false);
+        assert!(TraceIndex::new(&empty).event(&empty, &site(0, 0)).is_none());
+    }
+
+    #[test]
+    fn trace_index_on_a_normalized_trace_finds_every_event() {
+        let mut t = trace(
+            vec![
+                event(3, 0, 0, 50, 60),
+                event(1, 0, 1, 0, 9),
+                event(3, 0, 1, 10, 20),
+                event(0, 0, 0, 5, 7),
+                event(1, 0, 0, 30, 31),
+            ],
+            false,
+        );
+        t.normalize();
+        let idx = TraceIndex::new(&t);
+        for e in &t.events {
+            let found = idx.event(&t, &MethodInstance::new(e.method, e.instance));
+            assert_eq!(found, Some(e), "{:?}#{}", e.method, e.instance);
+        }
+        for absent in [site(0, 1), site(1, 2), site(2, 0), site(4, 0)] {
+            assert!(idx.event(&t, &absent).is_none(), "{absent} never ran");
+        }
     }
 
     #[test]

@@ -3,7 +3,11 @@
 //! Pass 1 computes *successful-run statistics*: which method instances are
 //! stable (present in every successful run), their duration envelopes
 //! `[min, max]`, their unique return values, and the pairwise temporal
-//! orders that hold in every successful run.
+//! orders that hold in every successful run. It is a fold over the
+//! successes ([`SuccessStats::observe`]) shared by the batch [`extract`]
+//! and incremental consumers (`aid_store`), so the two cannot disagree.
+//! The fold interns each `(method, instance)` site once into a dense id;
+//! every per-site statistic is an array indexed by it.
 //!
 //! Pass 2 walks the failed runs and materializes a predicate for every
 //! deviation it can witness there (Figure 2's catalogue): data races, method
@@ -19,8 +23,8 @@ use crate::eval::{evaluate, RunObservation};
 use crate::model::{
     InterventionAction, MethodInstance, Predicate, PredicateCatalog, PredicateId, PredicateKind,
 };
-use aid_trace::{AccessKind, FailureSignature, MethodEvent, MethodId, Time, TraceSet};
-use std::collections::{BTreeMap, BTreeSet};
+use aid_trace::{AccessKind, FailureSignature, MethodEvent, MethodId, Time, Trace, TraceSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Extraction tuning.
 #[derive(Clone, Debug)]
@@ -77,17 +81,47 @@ pub struct Extraction {
     pub signature: FailureSignature,
 }
 
-/// Statistics over the successful runs (pass 1).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Marks "site not executed" in per-site event-position tables.
+const ABSENT: u32 = u32::MAX;
+
+/// Statistics over the successful runs (pass 1), folded one success at a
+/// time by [`SuccessStats::observe`].
+///
+/// Every `(method, instance)` site a success executes is interned once into
+/// a dense id; the envelopes, unique returns, stability flags, all-runs
+/// orders and per-success returns are arrays indexed by that id. Failure
+/// scans only look sites up: a site no success executed has no statistics.
+#[derive(Clone, Debug, Default)]
 pub struct SuccessStats {
     /// Number of successful runs.
     pub successes: usize,
-    /// Per stable site: `[min, max]` duration envelope.
-    pub duration: BTreeMap<(u32, u32), (Time, Time)>,
-    /// Per stable site: the unique return value, if one exists.
-    pub unique_return: BTreeMap<(u32, u32), Option<i64>>,
-    /// Stable sites (present in every successful run).
-    pub stable: BTreeSet<(u32, u32)>,
+    /// Whether the all-runs temporal orders are tracked.
+    track_orders: bool,
+    /// Site → dense id. Sites come from uploaded traces, so the map keeps
+    /// the default (collision-resistant) hasher.
+    ids: HashMap<(u32, u32), u32>,
+    /// Dense id → site.
+    keys: Vec<(u32, u32)>,
+    /// Per site: `[min, max]` duration envelope.
+    duration: Vec<(Time, Time)>,
+    /// Per site: the unique return value, if one exists.
+    unique_return: Vec<Option<i64>>,
+    /// Per site: present in every success so far.
+    stable: Vec<bool>,
+    /// Stable site pairs `(a, b)` with `a.end < b.start` in every success,
+    /// sorted by `(site a, site b)`.
+    orders: Vec<(u32, u32)>,
+    /// Per success, one row over the sites interned by then: the value the
+    /// site returned, `None` if it did not run or returned nothing (a later
+    /// same-site event without a value shadows an earlier one).
+    returns: Vec<Option<i64>>,
+    /// Start of each success's row in `returns`.
+    rows: Vec<usize>,
+    /// Scratch: per site, the index of its last event in the trace being
+    /// folded (`ABSENT` between folds).
+    at: Vec<u32>,
+    /// Scratch: the sites the trace being folded executed.
+    ran: Vec<u32>,
 }
 
 fn key(e: &MethodEvent) -> (u32, u32) {
@@ -98,99 +132,155 @@ fn site_of(k: (u32, u32)) -> MethodInstance {
     MethodInstance::new(MethodId::from_raw(k.0), k.1)
 }
 
-/// Computes pass-1 statistics.
-pub fn success_stats(set: &TraceSet) -> SuccessStats {
-    let mut stats = SuccessStats::default();
-    let mut presence: BTreeMap<(u32, u32), usize> = BTreeMap::new();
-    for t in set.successes() {
-        stats.successes += 1;
-        for e in &t.events {
-            let k = key(e);
-            *presence.entry(k).or_insert(0) += 1;
+impl SuccessStats {
+    /// Empty statistics; `track_orders` enables the all-runs temporal
+    /// orders that order-violation extraction consumes.
+    pub fn new(track_orders: bool) -> SuccessStats {
+        SuccessStats {
+            track_orders,
+            ..SuccessStats::default()
+        }
+    }
+
+    /// The dense id of a site some success executed.
+    fn id(&self, site: (u32, u32)) -> Option<u32> {
+        self.ids.get(&site).copied()
+    }
+
+    /// Folds one successful run. Returns whether anything a failure scan
+    /// consumes moved: an envelope widened, a unique return collapsed, the
+    /// stable set or the all-runs orders changed.
+    pub fn observe(&mut self, t: &Trace) -> bool {
+        let first = self.successes == 0;
+        self.successes += 1;
+        let mut changed = false;
+        for (i, e) in t.events.iter().enumerate() {
             let d = e.duration();
-            stats
-                .duration
-                .entry(k)
-                .and_modify(|(lo, hi)| {
-                    *lo = (*lo).min(d);
-                    *hi = (*hi).max(d);
-                })
-                .or_insert((d, d));
-            match stats.unique_return.entry(k) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(e.returned);
+            let s = match self.ids.get(&key(e)) {
+                Some(&s) => {
+                    let s = s as usize;
+                    let (lo, hi) = self.duration[s];
+                    if d < lo || d > hi {
+                        self.duration[s] = (lo.min(d), hi.max(d));
+                        changed = true;
+                    }
+                    if self.unique_return[s] != e.returned {
+                        changed |= self.unique_return[s].is_some();
+                        self.unique_return[s] = None;
+                    }
+                    s
                 }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    if *o.get() != e.returned {
-                        o.insert(None);
+                None => {
+                    let s = self.keys.len();
+                    self.ids.insert(key(e), s as u32);
+                    self.keys.push(key(e));
+                    self.duration.push((d, d));
+                    self.unique_return.push(e.returned);
+                    // Only the first success can make a site stable.
+                    self.stable.push(first);
+                    self.at.push(ABSENT);
+                    changed = true;
+                    s
+                }
+            };
+            if self.at[s] == ABSENT {
+                self.ran.push(s as u32);
+            }
+            self.at[s] = i as u32;
+        }
+        // Stable sites: present in every success so far.
+        for (stable, &at) in self.stable.iter_mut().zip(&self.at) {
+            if *stable && at == ABSENT {
+                *stable = false;
+                changed = true;
+            }
+        }
+        if self.track_orders {
+            changed |= self.fold_orders(t, first);
+        }
+        let row = self.returns.len();
+        self.rows.push(row);
+        self.returns.resize(row + self.keys.len(), None);
+        for &s in &self.ran {
+            self.returns[row + s as usize] = t.events[self.at[s as usize] as usize].returned;
+        }
+        for s in self.ran.drain(..) {
+            self.at[s as usize] = ABSENT;
+        }
+        changed
+    }
+
+    /// Folds one success into the all-runs orders (its events are indexed
+    /// in `at`). Returns whether the order set changed.
+    fn fold_orders(&mut self, t: &Trace, first: bool) -> bool {
+        let span = |s: u32| {
+            let e = &t.events[self.at[s as usize] as usize];
+            (e.start, e.end)
+        };
+        let before = self.orders.len();
+        if first {
+            // Every site interned so far ran in this first success.
+            let n = self.keys.len() as u32;
+            let mut orders = Vec::new();
+            for a in 0..n {
+                for b in a + 1..n {
+                    let (sa, sb) = (span(a), span(b));
+                    if sa.1 < sb.0 {
+                        orders.push((a, b));
+                    } else if sb.1 < sa.0 {
+                        orders.push((b, a));
                     }
                 }
             }
+            let keys = &self.keys;
+            orders.sort_unstable_by_key(|&(a, b)| (keys[a as usize], keys[b as usize]));
+            self.orders = orders;
+            !self.orders.is_empty()
+        } else {
+            let stable = &self.stable;
+            let mut orders = std::mem::take(&mut self.orders);
+            orders.retain(|&(a, b)| {
+                stable[a as usize] && stable[b as usize] && span(a).1 < span(b).0
+            });
+            self.orders = orders;
+            self.orders.len() != before
         }
     }
-    stats.stable = presence
-        .iter()
-        .filter(|(_, &c)| c == stats.successes && stats.successes > 0)
-        .map(|(&k, _)| k)
-        .collect();
-    stats
+
+    /// The all-runs temporal orders: `(a, b)` is listed iff `a` and `b` are
+    /// stable and `a.end < b.start` in every success, in `(a, b)` order.
+    pub fn stable_orders(&self) -> Vec<((u32, u32), (u32, u32))> {
+        self.orders
+            .iter()
+            .map(|&(a, b)| (self.keys[a as usize], self.keys[b as usize]))
+            .collect()
+    }
+
+    /// What `site` returned in success number `run` (0-based, in fold
+    /// order): `None` if it did not run there or returned no value.
+    pub fn success_return(&self, run: usize, site: (u32, u32)) -> Option<i64> {
+        self.id(site).and_then(|s| self.return_in(run, s))
+    }
+
+    fn return_in(&self, run: usize, s: u32) -> Option<i64> {
+        let end = self
+            .rows
+            .get(run + 1)
+            .copied()
+            .unwrap_or(self.returns.len());
+        let row = &self.returns[self.rows[run]..end];
+        row.get(s as usize).copied().flatten()
+    }
 }
 
-/// The temporal orders that hold in **every** successful run, over stable
-/// sites: `(a, b)` ∈ result iff `a.end < b.start` in each success.
-pub fn stable_orders(set: &TraceSet, stats: &SuccessStats) -> BTreeSet<((u32, u32), (u32, u32))> {
-    let stable: Vec<(u32, u32)> = stats.stable.iter().copied().collect();
-    if stable.is_empty() {
-        return BTreeSet::new();
-    }
-    let mut orders: Option<BTreeSet<((u32, u32), (u32, u32))>> = None;
+/// Computes pass-1 statistics: every success of `set` folded in trace
+/// order (see [`SuccessStats::new`] for `track_orders`).
+pub fn success_stats(set: &TraceSet, track_orders: bool) -> SuccessStats {
+    let mut stats = SuccessStats::new(track_orders);
     for t in set.successes() {
-        let mut span: BTreeMap<(u32, u32), (Time, Time)> = BTreeMap::new();
-        for e in &t.events {
-            span.insert(key(e), (e.start, e.end));
-        }
-        let mut this: BTreeSet<((u32, u32), (u32, u32))> = BTreeSet::new();
-        for (i, &a) in stable.iter().enumerate() {
-            for &b in stable.iter().skip(i + 1) {
-                let (sa, sb) = (span[&a], span[&b]);
-                if sa.1 < sb.0 {
-                    this.insert((a, b));
-                } else if sb.1 < sa.0 {
-                    this.insert((b, a));
-                }
-            }
-        }
-        orders = Some(match orders {
-            None => this,
-            Some(prev) => prev.intersection(&this).copied().collect(),
-        });
+        stats.observe(t);
     }
-    orders.unwrap_or_default()
-}
-
-/// Per-success `site → returned value` maps, in trace order — the pass-1
-/// auxiliary the collision extractor consults. A site is present iff the
-/// run executed it *and* it returned a value.
-pub fn success_returns(set: &TraceSet) -> Vec<BTreeMap<(u32, u32), i64>> {
-    set.successes().map(success_return_map).collect()
-}
-
-/// The `site → returned value` map of one (successful) run.
-pub fn success_return_map(t: &aid_trace::Trace) -> BTreeMap<(u32, u32), i64> {
-    let mut m = BTreeMap::new();
-    for e in &t.events {
-        match e.returned {
-            Some(v) => {
-                m.insert(key(e), v);
-            }
-            // A later same-site event with no return value shadows an
-            // earlier one, mirroring the batch scan's last-write-wins.
-            None => {
-                m.remove(&key(e));
-            }
-        }
-    }
-    m
+    stats
 }
 
 /// Pass 2 over **one** failed run: materializes every predicate the run
@@ -199,15 +289,15 @@ pub fn success_return_map(t: &aid_trace::Trace) -> BTreeMap<(u32, u32), i64> {
 /// (`aid_store`) call it for newly arrived failures only — catalog interning
 /// is insertion-ordered, so extending an existing catalog with a new
 /// failure's scan is byte-identical to re-running the batch over all of
-/// them, as long as `stats`/`orders`/`success_returns` are unchanged.
+/// them, as long as `stats` is unchanged.
 pub fn scan_failure(
     events: &[MethodEvent],
     config: &ExtractionConfig,
     stats: &SuccessStats,
-    orders: &BTreeSet<((u32, u32), (u32, u32))>,
-    success_returns: &[BTreeMap<(u32, u32), i64>],
     catalog: &mut PredicateCatalog,
 ) {
+    // Each event's dense site id, if some success executed the site.
+    let ids: Vec<Option<u32>> = events.iter().map(|e| stats.id(key(e))).collect();
     // --- Method failures ---
     if config.method_fails {
         for e in events {
@@ -229,16 +319,16 @@ pub fn scan_failure(
     }
     // --- Timing deviations ---
     if config.timing {
-        for e in events {
-            let k = key(e);
-            let Some(&(lo, hi)) = stats.duration.get(&k) else {
+        for (e, id) in events.iter().zip(&ids) {
+            let Some(id) = *id else {
                 continue;
             };
-            let s = site_of(k);
+            let (lo, hi) = stats.duration[id as usize];
+            let s = site_of(key(e));
             let d = e.duration();
             if d > hi {
                 let pure = config.pure_methods.contains(&s.method);
-                let action = match stats.unique_return.get(&k).copied().flatten() {
+                let action = match stats.unique_return[id as usize] {
                     Some(v) if pure => InterventionAction::PrematureReturn { site: s, value: v },
                     _ => InterventionAction::SuppressFlaky { site: s },
                 };
@@ -265,24 +355,20 @@ pub fn scan_failure(
     }
     // --- Wrong returns ---
     if config.wrong_return {
-        for e in events {
-            let k = key(e);
-            let Some(Some(expected)) = stats.unique_return.get(&k) else {
+        for (e, id) in events.iter().zip(&ids) {
+            let Some(expected) = id.and_then(|id| stats.unique_return[id as usize]) else {
                 continue;
             };
             if let Some(v) = e.returned {
-                if v != *expected {
-                    let s = site_of(k);
+                if v != expected {
+                    let s = site_of(key(e));
                     let pure = config.pure_methods.contains(&s.method);
                     catalog.insert(Predicate {
-                        kind: PredicateKind::WrongReturn {
-                            site: s,
-                            expected: *expected,
-                        },
+                        kind: PredicateKind::WrongReturn { site: s, expected },
                         safe: pure,
                         action: pure.then_some(InterventionAction::ForceReturn {
                             site: s,
-                            value: *expected,
+                            value: expected,
                         }),
                     });
                 }
@@ -295,54 +381,17 @@ pub fn scan_failure(
     }
     // --- Order violations (incl. use-after-free attribution) ---
     if config.order {
-        let mut span: BTreeMap<(u32, u32), (Time, Time)> = BTreeMap::new();
-        let mut touched: BTreeMap<(u32, u32), BTreeSet<u32>> = BTreeMap::new();
-        for e in events {
-            span.insert(key(e), (e.start, e.end));
-            touched.insert(key(e), e.accesses.iter().map(|a| a.object.raw()).collect());
-        }
-        for &(a, b) in orders {
-            let (Some(&sa), Some(&sb)) = (span.get(&a), span.get(&b)) else {
-                continue;
-            };
-            // Violation: b no longer strictly after a.
-            if sa.1 >= sb.0 {
-                let common = touched
-                    .get(&a)
-                    .and_then(|ta| {
-                        touched
-                            .get(&b)
-                            .and_then(|tb| ta.intersection(tb).next().copied())
-                    })
-                    .map(aid_trace::ObjectId::from_raw);
-                let (first, second) = (site_of(a), site_of(b));
-                catalog.insert(Predicate {
-                    kind: PredicateKind::OrderViolation {
-                        first,
-                        second,
-                        object: common,
-                    },
-                    safe: true,
-                    action: Some(InterventionAction::ForceOrder { first, second }),
-                });
-            }
-        }
+        extract_order_violations(events, &ids, stats, catalog);
     }
     // --- Value collisions ---
     if config.collisions {
-        extract_collisions(events, stats, success_returns, catalog);
+        extract_collisions(events, &ids, stats, catalog);
     }
 }
 
 /// Runs the full extraction.
 pub fn extract(set: &TraceSet, config: &ExtractionConfig) -> Extraction {
-    let stats = success_stats(set);
-    let orders = if config.order {
-        stable_orders(set, &stats)
-    } else {
-        BTreeSet::new()
-    };
-    let sreturns = success_returns(set);
+    let stats = success_stats(set, config.order);
     let mut catalog = PredicateCatalog::new();
     let signature = majority_signature(set).expect("extraction requires at least one failed run");
 
@@ -350,7 +399,7 @@ pub fn extract(set: &TraceSet, config: &ExtractionConfig) -> Extraction {
         if catalog.len() >= config.max_predicates {
             break;
         }
-        scan_failure(&t.events, config, &stats, &orders, &sreturns, &mut catalog);
+        scan_failure(&t.events, config, &stats, &mut catalog);
     }
 
     // The failure indicator, last.
@@ -375,18 +424,24 @@ pub fn extract(set: &TraceSet, config: &ExtractionConfig) -> Extraction {
 /// Data races in one failed run: conflicting unlocked cross-thread access
 /// pairs with the write inside the other execution's window.
 fn extract_races(events: &[MethodEvent], catalog: &mut PredicateCatalog) {
-    // Group (event index, access) by object.
-    let mut by_object: BTreeMap<u32, Vec<(usize, usize)>> = BTreeMap::new();
+    // Unlocked accesses as (object, event index, access index), sorted:
+    // grouped by ascending object, in trace order within an object.
+    let mut accs: Vec<(u32, usize, usize)> = Vec::new();
     for (ei, e) in events.iter().enumerate() {
         for (ai, a) in e.accesses.iter().enumerate() {
             if !a.locked {
-                by_object.entry(a.object.raw()).or_default().push((ei, ai));
+                accs.push((a.object.raw(), ei, ai));
             }
         }
     }
-    for (obj, accs) in &by_object {
-        for (i, &(e1, a1)) in accs.iter().enumerate() {
-            for &(e2, a2) in accs.iter().skip(i + 1) {
+    accs.sort_unstable();
+    let mut rest = &accs[..];
+    while let Some(&(obj, _, _)) = rest.first() {
+        let n = rest.iter().take_while(|a| a.0 == obj).count();
+        let (group, tail) = rest.split_at(n);
+        rest = tail;
+        for (i, &(_, e1, a1)) in group.iter().enumerate() {
+            for &(_, e2, a2) in &group[i + 1..] {
                 if e1 == e2 {
                     continue;
                 }
@@ -418,7 +473,7 @@ fn extract_races(events: &[MethodEvent], catalog: &mut PredicateCatalog) {
                     kind: PredicateKind::DataRace {
                         a: sa,
                         b: sb,
-                        object: aid_trace::ObjectId::from_raw(*obj),
+                        object: aid_trace::ObjectId::from_raw(obj),
                     },
                     safe: true,
                     action: Some(InterventionAction::Serialize {
@@ -431,42 +486,89 @@ fn extract_races(events: &[MethodEvent], catalog: &mut PredicateCatalog) {
     }
 }
 
-/// Value collisions in one failed run: stable sites whose returns are equal
-/// here but distinct in every successful run (consulted through the pass-1
-/// [`success_returns`] maps).
-fn extract_collisions(
+/// Order violations in one failed run: all-runs orders `(a, b)` where `b`
+/// no longer starts strictly after `a` ends. The object both executions
+/// touched (the smallest such id) attributes use-after-free shapes.
+fn extract_order_violations(
     events: &[MethodEvent],
+    ids: &[Option<u32>],
     stats: &SuccessStats,
-    success_returns: &[BTreeMap<(u32, u32), i64>],
     catalog: &mut PredicateCatalog,
 ) {
-    let returners: Vec<&MethodEvent> = events
+    // Per site, the last event that executed it.
+    let mut at = vec![ABSENT; stats.keys.len()];
+    for (i, id) in ids.iter().enumerate() {
+        if let Some(id) = id {
+            at[*id as usize] = i as u32;
+        }
+    }
+    for &(a, b) in &stats.orders {
+        let (ia, ib) = (at[a as usize], at[b as usize]);
+        if ia == ABSENT || ib == ABSENT {
+            continue;
+        }
+        let (ea, eb) = (&events[ia as usize], &events[ib as usize]);
+        if ea.end < eb.start {
+            continue;
+        }
+        let common = ea
+            .accesses
+            .iter()
+            .map(|x| x.object)
+            .filter(|&o| eb.accesses.iter().any(|y| y.object == o))
+            .min();
+        let (first, second) = (
+            site_of(stats.keys[a as usize]),
+            site_of(stats.keys[b as usize]),
+        );
+        catalog.insert(Predicate {
+            kind: PredicateKind::OrderViolation {
+                first,
+                second,
+                object: common,
+            },
+            safe: true,
+            action: Some(InterventionAction::ForceOrder { first, second }),
+        });
+    }
+}
+
+/// Value collisions in one failed run: stable sites whose returns are equal
+/// here but distinct in every successful run (consulted through the
+/// per-success return rows of `stats`).
+fn extract_collisions(
+    events: &[MethodEvent],
+    ids: &[Option<u32>],
+    stats: &SuccessStats,
+    catalog: &mut PredicateCatalog,
+) {
+    let returners: Vec<(&MethodEvent, u32)> = events
         .iter()
-        .filter(|e| e.returned.is_some() && stats.stable.contains(&key(e)))
+        .zip(ids)
+        .filter_map(|(e, id)| match id {
+            Some(id) if e.returned.is_some() && stats.stable[*id as usize] => Some((e, *id)),
+            _ => None,
+        })
         .collect();
-    for (i, ea) in returners.iter().enumerate() {
-        for eb in returners.iter().skip(i + 1) {
+    for (i, &(ea, ia)) in returners.iter().enumerate() {
+        for &(eb, ib) in &returners[i + 1..] {
             if ea.returned != eb.returned {
                 continue;
             }
-            let (ka, kb) = (key(ea), key(eb));
+            let distinct_in =
+                |run: usize| match (stats.return_in(run, ia), stats.return_in(run, ib)) {
+                    (Some(x), Some(y)) if x != y => Some((x, y)),
+                    _ => None,
+                };
             // Distinct in every success?
-            let distinct_in_successes = success_returns
-                .iter()
-                .all(|m| matches!((m.get(&ka), m.get(&kb)), (Some(x), Some(y)) if x != y));
-            if !distinct_in_successes {
+            if !(0..stats.successes).all(|run| distinct_in(run).is_some()) {
                 continue;
             }
             // Repair: pin BOTH draws to the (distinct) values of one
             // successful run; pinning one side would leave a residual
             // collision probability.
-            let repair_values = success_returns.iter().find_map(|m| {
-                match (m.get(&ka).copied(), m.get(&kb).copied()) {
-                    (Some(x), Some(y)) if x != y => Some((x, y)),
-                    _ => None,
-                }
-            });
-            let (sa, sb) = (site_of(ka), site_of(kb));
+            let repair_values = (0..stats.successes).find_map(distinct_in);
+            let (sa, sb) = (site_of(key(ea)), site_of(key(eb)));
             catalog.insert(Predicate {
                 kind: PredicateKind::ValueCollision { a: sa, b: sb },
                 safe: true,
@@ -578,9 +680,9 @@ mod tests {
     #[test]
     fn stable_orders_require_consistency() {
         let set = handmade();
-        let stats = success_stats(&set);
+        let stats = success_stats(&set, true);
         assert_eq!(stats.successes, 2);
-        let orders = stable_orders(&set, &stats);
+        let orders = stats.stable_orders();
         assert!(
             orders.contains(&((0, 0), (1, 0))),
             "A before B in all successes"

@@ -16,10 +16,10 @@ pub mod eval;
 pub mod extract;
 pub mod model;
 
-pub use eval::{evaluate, evaluate_extend, RunObservation, TraceIndex};
+pub use eval::{evaluate, Evaluator, RunObservation, TraceIndex};
 pub use extract::{
-    extract, majority_signature, scan_failure, stable_orders, success_return_map, success_returns,
-    success_stats, Extraction, ExtractionConfig, SuccessStats,
+    extract, majority_signature, scan_failure, success_stats, Extraction, ExtractionConfig,
+    SuccessStats,
 };
 pub use model::{
     InterventionAction, MethodInstance, Predicate, PredicateCatalog, PredicateId, PredicateKind,

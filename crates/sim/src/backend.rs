@@ -10,6 +10,9 @@
 //!   must produce **identical** `Trace`s for identical inputs; fingerprints
 //!   and cache keys are backend-independent, so intervention-cache entries
 //!   are shared across backends.
+//! * [`ExecBackend::try_run_with`] lends the trace to a closure instead of
+//!   returning it, so a backend can take the trace's buffers back for its
+//!   next run; probes that only evaluate a trace never pay for one.
 //! * [`ExecBackend::try_run`] reports invalid runs (e.g. a return-value
 //!   intervention on an impure method) as a typed [`VmError`] where the
 //!   backend can detect them without unwinding. The bytecode VM detects all
@@ -29,7 +32,7 @@ use crate::program::Program;
 use crate::vm::{Vm, VmError};
 use aid_obs::Counter;
 use aid_trace::Trace;
-use parking_lot::Mutex;
+use std::cell::RefCell;
 
 /// An execution engine for compiled-in programs. Implementations are
 /// shareable across threads; one instance serves any number of concurrent
@@ -47,6 +50,22 @@ pub trait ExecBackend: Send + Sync {
         plan: &InterventionPlan,
         config: &SimConfig,
     ) -> Result<Trace, VmError>;
+
+    /// Executes one run and lends its trace to `f`, which is called exactly
+    /// once when the run completes and never on a trap. The backend may
+    /// reuse the trace's buffers afterwards. The default runs
+    /// [`try_run`](Self::try_run), then lends.
+    fn try_run_with(
+        &self,
+        seed: u64,
+        plan: &InterventionPlan,
+        config: &SimConfig,
+        f: &mut dyn FnMut(&Trace),
+    ) -> Result<(), VmError> {
+        let trace = self.try_run(seed, plan, config)?;
+        f(&trace);
+        Ok(())
+    }
 
     /// Executes one run, panicking on a trap. For callers that know their
     /// plans are valid (e.g. plans lowered from a catalog of observed
@@ -147,14 +166,37 @@ impl ExecBackend for TreeWalkBackend {
     }
 }
 
+thread_local! {
+    /// This thread's bytecode machine. A `Vm` runs any program, so every
+    /// [`BytecodeBackend`] on the thread shares one set of warm arenas, and
+    /// a new simulator starts warm.
+    static VM: RefCell<Vm> = RefCell::new(Vm::new());
+}
+
+/// Runs `f` on this thread's machine, or on a fresh one when that machine
+/// is busy (a run started from inside a lending closure) or already torn
+/// down (thread exit).
+fn with_vm<R>(f: impl FnOnce(&mut Vm) -> R) -> R {
+    let mut f = Some(f);
+    VM.try_with(|cell| {
+        let mut vm = cell.try_borrow_mut().ok()?;
+        f.take().map(|f| f(&mut vm))
+    })
+    .ok()
+    .flatten()
+    .unwrap_or_else(|| (f.take().expect("not yet called"))(&mut Vm::new()))
+}
+
 /// The bytecode VM behind the [`ExecBackend`] API.
 ///
-/// Compiles once at construction; per-run `Vm` instances (with their reused
-/// arenas) are pooled so concurrent callers don't contend on a single
-/// machine and sequential callers don't re-allocate one.
+/// Compiles once at construction. Runs execute on the calling thread's
+/// `Vm` (one per OS thread, shared by every backend), so concurrent
+/// callers never contend and a cold simulator reuses the thread's warm
+/// arenas. [`ExecBackend::try_run_with`] hands the lent trace's buffers
+/// back to that `Vm`: a warm probe of a program that throws nothing
+/// allocates nothing for its run.
 pub struct BytecodeBackend {
     compiled: CompiledProgram,
-    pool: Mutex<Vec<Vm>>,
     /// Scheduler ticks across all completed runs — feeds `sim.vm.steps`
     /// when the owning [`Simulator`](crate::Simulator) has a metrics
     /// registry attached; a detached no-op cell otherwise.
@@ -166,7 +208,6 @@ impl BytecodeBackend {
     pub fn new(program: &Program) -> Self {
         BytecodeBackend {
             compiled: compile(program),
-            pool: Mutex::new(Vec::new()),
             steps: Counter::detached(),
         }
     }
@@ -182,6 +223,20 @@ impl BytecodeBackend {
     pub fn compiled(&self) -> &CompiledProgram {
         &self.compiled
     }
+
+    fn run_on(
+        &self,
+        vm: &mut Vm,
+        seed: u64,
+        plan: &InterventionPlan,
+        config: &SimConfig,
+    ) -> Result<Trace, VmError> {
+        let trace = vm.run(&self.compiled, plan, config, seed)?;
+        // Trapped runs are quarantined wholesale; only completed runs
+        // report a meaningful tick count.
+        self.steps.add(vm.last_steps());
+        Ok(trace)
+    }
 }
 
 impl ExecBackend for BytecodeBackend {
@@ -195,15 +250,22 @@ impl ExecBackend for BytecodeBackend {
         plan: &InterventionPlan,
         config: &SimConfig,
     ) -> Result<Trace, VmError> {
-        let mut vm = self.pool.lock().pop().unwrap_or_default();
-        let result = vm.run(&self.compiled, plan, config, seed);
-        if result.is_ok() {
-            // Trapped runs are quarantined wholesale; only completed runs
-            // report a meaningful tick count.
-            self.steps.add(vm.last_steps());
-        }
-        self.pool.lock().push(vm);
-        result
+        with_vm(|vm| self.run_on(vm, seed, plan, config))
+    }
+
+    fn try_run_with(
+        &self,
+        seed: u64,
+        plan: &InterventionPlan,
+        config: &SimConfig,
+        f: &mut dyn FnMut(&Trace),
+    ) -> Result<(), VmError> {
+        with_vm(|vm| {
+            let trace = self.run_on(vm, seed, plan, config)?;
+            f(&trace);
+            vm.reclaim(trace);
+            Ok(())
+        })
     }
 }
 
@@ -248,6 +310,22 @@ mod tests {
         }
         assert_eq!(tree.name(), "tree");
         assert_eq!(byte.name(), "bytecode");
+    }
+
+    #[test]
+    fn a_run_inside_a_lending_closure_gets_its_own_machine() {
+        let p = toy();
+        let byte = BytecodeBackend::new(&p);
+        let plan = InterventionPlan::empty();
+        let cfg = SimConfig::default();
+        let want = byte.try_run(3, &plan, &cfg).unwrap();
+        let mut inner = None;
+        byte.try_run_with(3, &plan, &cfg, &mut |outer| {
+            inner = Some(byte.try_run(3, &plan, &cfg).unwrap());
+            assert_eq!(outer, &want);
+        })
+        .unwrap();
+        assert_eq!(inner, Some(want));
     }
 
     #[test]

@@ -19,7 +19,15 @@ use std::sync::{Arc, OnceLock};
 /// trace-equivalent, and [`Simulator::fingerprint`] is deliberately
 /// backend-independent, so cached results are shared across backends.
 ///
+/// Runs come in two shapes: [`Simulator::try_run`] returns an owned
+/// [`Trace`], and [`Simulator::try_run_with`] lends the trace to a closure
+/// so the backend can reuse its buffers. Probes that only evaluate a trace
+/// (the engine's intervention runs) use the lending form; on the bytecode
+/// backend a warm lending run allocates nothing.
+///
 /// The compiled backend instance is built lazily on first run and cached.
+/// It holds no machine: bytecode runs execute on the calling thread's `Vm`
+/// (see [`BytecodeBackend`]), so a fresh `Simulator` runs warm.
 /// `program` stays a public field for construction-site ergonomics, but
 /// mutating it **after** the first run would desync the cache — rebuild a
 /// fresh `Simulator` instead. (`config` is read per run and safe to tune at
@@ -132,6 +140,25 @@ impl Simulator {
     /// does; the tree-walk interpreter asserts instead).
     pub fn try_run(&self, seed: u64, plan: &InterventionPlan) -> Result<Trace, VmError> {
         self.exec_backend().try_run(seed, plan, &self.config)
+    }
+
+    /// Runs once with `seed` under `plan` and lends the trace to `f`,
+    /// returning what `f` returns. Traps are reported as in
+    /// [`Simulator::try_run`], without calling `f`. The trace's buffers go
+    /// back to the backend afterwards, so keep nothing borrowed from it.
+    pub fn try_run_with<R>(
+        &self,
+        seed: u64,
+        plan: &InterventionPlan,
+        f: impl FnOnce(&Trace) -> R,
+    ) -> Result<R, VmError> {
+        let mut f = Some(f);
+        let mut out = None;
+        self.exec_backend()
+            .try_run_with(seed, plan, &self.config, &mut |trace| {
+                out = f.take().map(|f| f(trace));
+            })?;
+        Ok(out.expect("a completed run lends its trace"))
     }
 
     /// Runs seeds `0..runs` with no intervention, returning a labeled set.

@@ -34,7 +34,10 @@
 //! expression scratch stack sized to the program's max expression depth,
 //! and the scheduler's ready buffer. [`Vm::run`] resets them in place, so
 //! steady-state execution allocates only what escapes into the returned
-//! `Trace` (events and their access lists).
+//! `Trace` (events and their access lists). A caller that is done with a
+//! trace can hand it back through [`Vm::reclaim`]: its event and message
+//! vectors and its access lists become the next run's buffers, so a warm
+//! run of a program that throws nothing allocates nothing at all.
 //!
 //! # Trap handling (fail-safe)
 //!
@@ -431,6 +434,10 @@ pub struct Vm {
     /// Event count of the previous run — pre-sizes `events` so steady-state
     /// runs of the same program do one allocation instead of doubling up.
     events_hint: usize,
+    /// Access lists handed back by [`Vm::reclaim`], bucketed by method
+    /// index, so a frame of method `m` picks up a list an earlier run of
+    /// `m` already sized.
+    spare_accesses: Vec<Vec<Vec<AccessEvent>>>,
     /// While true, `pop_frame` (and the premature-return shortcut) log what
     /// they release/complete into the `repair_*` accumulators so the spin
     /// loop can repair its cached ready set incrementally instead of paying
@@ -481,6 +488,7 @@ impl Vm {
             frame_arena: Vec::new(),
             free_frames: Vec::new(),
             events_hint: 0,
+            spare_accesses: Vec::new(),
             track_repair: false,
             repair_locks: Vec::new(),
             repair_slots: Vec::new(),
@@ -541,6 +549,55 @@ impl Vm {
                 Err(e)
             }
         }
+    }
+
+    /// Takes back the buffers of a trace this machine produced: the event
+    /// and message vectors and every non-empty access list. The next run
+    /// fills them instead of allocating its own.
+    pub fn reclaim(&mut self, trace: Trace) {
+        let Trace {
+            mut events,
+            mut msgs,
+            ..
+        } = trace;
+        for e in events.drain(..) {
+            let mut accesses = e.accesses;
+            if accesses.capacity() == 0 {
+                continue;
+            }
+            accesses.clear();
+            let m = e.method.index();
+            if self.spare_accesses.len() <= m {
+                self.spare_accesses.resize_with(m + 1, Vec::new);
+            }
+            self.spare_accesses[m].push(accesses);
+        }
+        if events.capacity() > self.events.capacity() {
+            self.events = events;
+        }
+        msgs.clear();
+        if msgs.capacity() > self.msgs.capacity() {
+            self.msgs = msgs;
+        }
+    }
+
+    /// Gives frame `fi` (of `method`) room for `n` accesses, from a spare
+    /// list of the same method when the frame has none of its own.
+    fn arm_accesses(&mut self, fi: u32, method: u32, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let accesses = &mut self.frame_arena[fi as usize].accesses;
+        if accesses.capacity() == 0 {
+            if let Some(spare) = self
+                .spare_accesses
+                .get_mut(method as usize)
+                .and_then(Vec::pop)
+            {
+                *accesses = spare;
+            }
+        }
+        accesses.reserve(n);
     }
 
     fn reset(&mut self, prog: &CompiledProgram, plan: &InterventionPlan, seed: u64) {
@@ -1515,11 +1572,12 @@ impl Vm {
         if self.hooks.no_hooks {
             let clock = self.clock;
             let fi = self.alloc_frame();
-            let frame = &mut self.frame_arena[fi as usize];
-            frame.reinit(method, instance, clock, 0, caller_catches, 0);
-            frame
-                .accesses
-                .reserve(prog.methods[method as usize].n_accesses as usize);
+            self.frame_arena[fi as usize].reinit(method, instance, clock, 0, caller_catches, 0);
+            self.arm_accesses(
+                fi,
+                method,
+                prog.methods[method as usize].n_accesses as usize,
+            );
             self.threads[tid].frames.push(fi);
             return Ok(());
         }
@@ -1590,14 +1648,16 @@ impl Vm {
             caller_catches || catch_injected,
             delay_end,
         );
-        // One exact allocation for the access list (it escapes into the
-        // trace, so the frame arena can't recycle it).
-        frame
-            .accesses
-            .reserve(prog.methods[method as usize].n_accesses as usize);
         frame
             .pending_injected
             .extend_from_slice(&self.hooks.methods[method as usize].injected_slots);
+        // The access list escapes into the trace, so it comes from the
+        // reclaimed spares rather than the frame arena.
+        self.arm_accesses(
+            fi,
+            method,
+            prog.methods[method as usize].n_accesses as usize,
+        );
         self.threads[tid].frames.push(fi);
 
         if let Some(first) = order_block {
@@ -2244,5 +2304,77 @@ mod tests {
             repairs > 0,
             "incremental ready-set repair must fire on frame pops ({scans} scans)"
         );
+    }
+
+    /// One thread's machine serves every backend through the lending API,
+    /// and reclaimed buffers carry nothing from one run into the next:
+    /// interleaving programs, plans, a trap and a channel program on one
+    /// thread yields exactly the traces (and errors) of fresh machines.
+    #[test]
+    fn interleaved_lending_runs_match_fresh_machines() {
+        use crate::backend::{BytecodeBackend, ExecBackend};
+        use aid_trace::ChannelId;
+
+        let cfg = SimConfig::default();
+        let writer = MethodId::from_raw(1);
+        let racy_plans = vec![
+            InterventionPlan::empty(),
+            InterventionPlan::single(Intervention::DelayEnd {
+                method: writer,
+                instance: InstanceFilter::All,
+                ticks: 25,
+            }),
+            InterventionPlan::single(Intervention::SerializeMethods {
+                a: MethodId::from_raw(0),
+                b: writer,
+            }),
+            // Premature return on the impure Writer traps mid-run.
+            InterventionPlan::single(Intervention::PrematureReturn {
+                method: writer,
+                instance: InstanceFilter::All,
+                value: 0,
+            }),
+        ];
+        let chan_plans = vec![
+            InterventionPlan::empty(),
+            InterventionPlan::single(Intervention::DropDelivery {
+                channel: ChannelId::from_raw(0),
+                seq: InstanceFilter::Only(1),
+            }),
+            InterventionPlan::single(Intervention::DelayDelivery {
+                channel: ChannelId::from_raw(0),
+                seq: InstanceFilter::All,
+                ticks: 9,
+            }),
+        ];
+        let programs = [(racy(), racy_plans), (chan_program(), chan_plans)];
+        let backends: Vec<BytecodeBackend> = programs
+            .iter()
+            .map(|(p, _)| BytecodeBackend::new(p))
+            .collect();
+        let (mut traps, mut runs) = (0, 0);
+        for seed in 0..12u64 {
+            for ((program, plans), backend) in programs.iter().zip(&backends) {
+                for plan in plans {
+                    let fresh = Vm::new().run(&compile(program), plan, &cfg, seed);
+                    let mut lent = None;
+                    let got =
+                        backend.try_run_with(seed, plan, &cfg, &mut |t| lent = Some(t.clone()));
+                    match fresh {
+                        Ok(want) => {
+                            got.expect("fresh machine completed");
+                            assert_eq!(lent.as_ref(), Some(&want), "seed {seed}, plan {plan:?}");
+                            runs += 1;
+                        }
+                        Err(want) => {
+                            assert_eq!(got.unwrap_err(), want, "seed {seed}, plan {plan:?}");
+                            assert!(lent.is_none(), "a trapped run lends nothing");
+                            traps += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(traps > 0 && runs > traps, "traps {traps}, runs {runs}");
     }
 }

@@ -10,10 +10,11 @@
 //!
 //! The incremental decomposition mirrors the batch pipeline's two passes:
 //!
-//! * **Pass 1 (successes)** is a pure fold: duration envelopes, unique
-//!   returns, stable sites, all-runs temporal orders, and per-success
-//!   return maps update in O(run) per new success, and the fold reports
-//!   whether anything *pass-2-relevant* moved.
+//! * **Pass 1 (successes)** is a pure fold — the same
+//!   [`SuccessStats::observe`] the batch extractor runs: duration
+//!   envelopes, unique returns, stable sites, all-runs temporal orders, and
+//!   per-success return rows update per new success over a dense site
+//!   table, and the fold reports whether anything *pass-2-relevant* moved.
 //! * **Pass 2 (failures)** extends: catalog interning is insertion-ordered,
 //!   so scanning only the newly arrived failures appends exactly the
 //!   predicates a batch rescan would — as long as pass-1 state is
@@ -22,7 +23,7 @@
 //!   breaks), the view falls back to a full pass-2 rebuild for that
 //!   refresh and says so in its telemetry.
 //! * **Evaluation** extends per trace: stored window vectors grow by
-//!   exactly the new catalog suffix (`aid_predicates::evaluate_extend`).
+//!   exactly the new catalog suffix (`aid_predicates::Evaluator::extend`).
 //! * **SD** is counted from per-predicate occurrence bitmaps
 //!   (`aid_util::DenseBitSet` over trace ids) rather than by re-scanning
 //!   observations.
@@ -43,13 +44,13 @@ use crate::window::TraceWindow;
 use aid_causal::{AcDagBuilder, TypeAwarePolicy};
 use aid_core::AidAnalysis;
 use aid_predicates::{
-    evaluate_extend, scan_failure, success_return_map, Extraction, ExtractionConfig, Predicate,
-    PredicateCatalog, PredicateId, PredicateKind, RunObservation, SuccessStats,
+    scan_failure, Evaluator, Extraction, ExtractionConfig, Predicate, PredicateCatalog,
+    PredicateId, PredicateKind, RunObservation, SuccessStats,
 };
 use aid_sd::{PredicateScore, SdReport};
-use aid_trace::{FailureSignature, MethodEvent, Outcome, Time, Trace};
+use aid_trace::{FailureSignature, Outcome, Time, Trace};
 use aid_util::DenseBitSet;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Telemetry for the incremental machinery: how often the cheap paths held.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -80,10 +81,6 @@ pub struct ViewStats {
     pub predicates_skipped: u64,
 }
 
-fn site(e: &MethodEvent) -> (u32, u32) {
-    (e.method.raw(), e.instance)
-}
-
 /// The incrementally maintained observation-phase analysis.
 pub struct StoreView {
     config: ExtractionConfig,
@@ -97,8 +94,6 @@ pub struct StoreView {
     seen: usize,
     // --- pass-1 state (successes) ---
     stats: SuccessStats,
-    orders: BTreeSet<((u32, u32), (u32, u32))>,
-    success_returns: Vec<BTreeMap<(u32, u32), i64>>,
     /// Pass-2 inputs moved since the catalog was last (re)built.
     stats_dirty: bool,
     // --- pass-2 state (failures) ---
@@ -115,6 +110,8 @@ pub struct StoreView {
     /// Per catalog predicate: which retained traces (`gid - base`) it
     /// holds in.
     occurrence: Vec<DenseBitSet>,
+    /// Evaluation scratch, reused for every trace's windows.
+    evaluator: Evaluator,
     /// Which retained traces (`gid - base`) failed (any signature).
     failed_bits: DenseBitSet,
     // --- AC-DAG state ---
@@ -138,12 +135,10 @@ impl StoreView {
     /// An empty view with the given extraction configuration.
     pub fn new(config: ExtractionConfig) -> StoreView {
         StoreView {
+            stats: SuccessStats::new(config.order),
             config,
             base: 0,
             seen: 0,
-            stats: SuccessStats::default(),
-            orders: BTreeSet::new(),
-            success_returns: Vec::new(),
             stats_dirty: false,
             failures: Vec::new(),
             scanned: 0,
@@ -151,6 +146,7 @@ impl StoreView {
             catalog: PredicateCatalog::new(),
             windows: Vec::new(),
             occurrence: Vec::new(),
+            evaluator: Evaluator::default(),
             failed_bits: DenseBitSet::new(0),
             builder: None,
             analysis: None,
@@ -256,99 +252,24 @@ impl StoreView {
     /// a failure scan consumes (envelopes, unique returns, stable sites,
     /// orders, collision invariants) changed.
     fn observe_success(&mut self, t: &Trace) -> bool {
-        let mut changed = false;
-        let mut sites: BTreeSet<(u32, u32)> = BTreeSet::new();
-        let mut span: BTreeMap<(u32, u32), (Time, Time)> = BTreeMap::new();
-        for e in &t.events {
-            let k = site(e);
-            sites.insert(k);
-            span.insert(k, (e.start, e.end));
-            let d = e.duration();
-            match self.stats.duration.entry(k) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert((d, d));
-                    changed = true;
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    let (lo, hi) = *o.get();
-                    if d < lo || d > hi {
-                        o.insert((lo.min(d), hi.max(d)));
-                        changed = true;
-                    }
-                }
-            }
-            match self.stats.unique_return.entry(k) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(e.returned);
-                    changed = true;
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    if *o.get() != e.returned {
-                        if o.get().is_some() {
-                            changed = true;
-                        }
-                        o.insert(None);
-                    }
-                }
-            }
+        let changed = self.stats.observe(t);
+        if changed || !self.config.collisions {
+            return changed;
         }
-        self.stats.successes += 1;
-        // Stable sites: present in every success so far.
-        let new_stable: BTreeSet<(u32, u32)> = if self.stats.successes == 1 {
-            sites.clone()
-        } else {
-            self.stats.stable.intersection(&sites).copied().collect()
-        };
-        if new_stable != self.stats.stable {
-            changed = true;
-            self.stats.stable = new_stable;
-        }
-        // All-runs temporal orders over stable sites.
-        if self.config.order {
-            let before = self.orders.len();
-            if self.stats.successes == 1 {
-                let stable: Vec<(u32, u32)> = self.stats.stable.iter().copied().collect();
-                for (i, &a) in stable.iter().enumerate() {
-                    for &b in stable.iter().skip(i + 1) {
-                        let (sa, sb) = (span[&a], span[&b]);
-                        if sa.1 < sb.0 {
-                            self.orders.insert((a, b));
-                        } else if sb.1 < sa.0 {
-                            self.orders.insert((b, a));
-                        }
-                    }
-                }
-                changed |= !self.orders.is_empty();
-            } else {
-                let stable = &self.stats.stable;
-                self.orders.retain(|&(a, b)| {
-                    stable.contains(&a) && stable.contains(&b) && span[&a].1 < span[&b].0
-                });
-                changed |= self.orders.len() != before;
-            }
-        }
-        let returns = success_return_map(t);
         // A new success can silently disqualify an already-materialized
         // value-collision predicate (its sides must return *distinct*
         // values in every success).
-        if self.config.collisions && !changed {
-            for (_, p) in self.catalog.iter() {
-                if let PredicateKind::ValueCollision { a, b } = &p.kind {
-                    let ka = (a.method.raw(), a.instance);
-                    let kb = (b.method.raw(), b.instance);
-                    let still_distinct = matches!(
-                        (returns.get(&ka), returns.get(&kb)),
-                        (Some(x), Some(y)) if x != y
-                    );
-                    if !still_distinct {
-                        changed = true;
-                        break;
-                    }
-                }
-            }
-        }
-        self.success_returns.push(returns);
-        changed
+        let run = self.stats.successes - 1;
+        self.catalog.iter().any(|(_, p)| match &p.kind {
+            PredicateKind::ValueCollision { a, b } => !matches!(
+                (
+                    self.stats.success_return(run, (a.method.raw(), a.instance)),
+                    self.stats.success_return(run, (b.method.raw(), b.instance)),
+                ),
+                (Some(x), Some(y)) if x != y
+            ),
+            _ => false,
+        })
     }
 
     /// Cheap path: scan only the not-yet-scanned failures into the existing
@@ -363,14 +284,15 @@ impl StoreView {
         if catalog.len() > old_len {
             debug_assert_eq!(self.windows.len(), first_new - self.base);
             for (rel, w) in self.windows.iter_mut().enumerate() {
-                evaluate_extend(catalog, store.get(self.base + rel), w);
+                self.evaluator
+                    .extend(catalog, store.get(self.base + rel), w);
             }
             self.view_stats.windows_evaluated +=
                 ((first_new - self.base) * (catalog.len() - old_len)) as u64;
         }
         for gid in first_new..self.seen {
             let mut w = Vec::with_capacity(catalog.len());
-            evaluate_extend(catalog, store.get(gid), &mut w);
+            self.evaluator.extend(catalog, store.get(gid), &mut w);
             self.windows.push(w);
         }
         self.view_stats.windows_evaluated += ((self.seen - first_new) * catalog.len()) as u64;
@@ -384,11 +306,11 @@ impl StoreView {
         self.catalog = PredicateCatalog::new();
         self.scanned = 0;
         self.scan_failures(store);
-        let catalog = &self.catalog;
+        let (catalog, evaluator) = (&self.catalog, &mut self.evaluator);
         self.windows = (self.base..self.seen)
             .map(|g| {
                 let mut w = Vec::with_capacity(catalog.len());
-                evaluate_extend(catalog, store.get(g), &mut w);
+                evaluator.extend(catalog, store.get(g), &mut w);
                 w
             })
             .collect();
@@ -406,8 +328,6 @@ impl StoreView {
                 &store.get(self.failures[self.scanned]).events,
                 &self.config,
                 &self.stats,
-                &self.orders,
-                &self.success_returns,
                 &mut self.catalog,
             );
             self.scanned += 1;

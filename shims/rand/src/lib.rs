@@ -114,8 +114,15 @@ pub mod distr {
                 ) -> Self {
                     let span = (hi as i128 - lo as i128) as u128 + u128::from(inclusive);
                     assert!(span > 0, "cannot sample empty range");
-                    let v = ((rng.next_u64() as u128) % span) as i128;
-                    (lo as i128 + v) as $t
+                    let draw = rng.next_u64();
+                    // A 64-bit remainder, not a 128-bit one: every span but
+                    // the full inclusive 64-bit range (2^64) fits a `u64`,
+                    // and that one keeps every draw as it is.
+                    let v = match u64::try_from(span) {
+                        Ok(span) => draw % span,
+                        Err(_) => draw,
+                    };
+                    (lo as i128 + v as i128) as $t
                 }
             }
         )*};
@@ -193,6 +200,79 @@ mod tests {
             assert!((2..=4).contains(&v));
             let w = rng.random_range(-5i64..5);
             assert!((-5..5).contains(&w));
+        }
+    }
+
+    /// An rng that yields one fixed draw.
+    struct Fixed(u64);
+
+    impl super::RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// The 128-bit remainder formula the 64-bit one replaced, as reference.
+    fn reference(lo: i128, hi: i128, inclusive: bool, draw: u64) -> i128 {
+        let span = (hi - lo) as u128 + u128::from(inclusive);
+        lo + ((draw as u128) % span) as i128
+    }
+
+    #[test]
+    fn sixty_four_bit_remainder_matches_the_128_bit_formula() {
+        use super::distr::SampleUniform;
+
+        let mut draws = vec![0, 1, u64::MAX, u64::MAX - 1, 1 << 63];
+        for seed in 0..200 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            draws.extend((0..20).map(|_| super::RngCore::next_u64(&mut rng)));
+        }
+        let mut spans = StdRng::seed_from_u64(99);
+        for &draw in &draws {
+            // Spans of 1, 2^64 - 1 and 2^64, and arbitrary ones in between.
+            let hi = super::RngCore::next_u64(&mut spans).max(1);
+            let u64s = [
+                (0, 1, false),
+                (0, u64::MAX, false),
+                (0, u64::MAX, true),
+                (7, hi, true),
+            ];
+            for (lo, hi, inclusive) in u64s {
+                let got = u64::sample_between(lo, hi, inclusive, &mut Fixed(draw));
+                let want = reference(lo as i128, hi as i128, inclusive, draw);
+                assert_eq!(
+                    got as i128, want,
+                    "u64 {lo}..{hi} ({inclusive}), draw {draw}"
+                );
+            }
+            let mid = hi as i64;
+            let i64s = [
+                (i64::MIN, i64::MAX, true),
+                (i64::MIN, i64::MAX, false),
+                (-5, 5, false),
+                (i64::MIN, mid, true),
+                (-1, -1, true),
+            ];
+            for (lo, hi, inclusive) in i64s {
+                let got = i64::sample_between(lo, hi, inclusive, &mut Fixed(draw));
+                let want = reference(lo as i128, hi as i128, inclusive, draw);
+                assert_eq!(
+                    got as i128, want,
+                    "i64 {lo}..{hi} ({inclusive}), draw {draw}"
+                );
+            }
+            let got = u8::sample_between(0, u8::MAX, true, &mut Fixed(draw));
+            assert_eq!(
+                got as i128,
+                reference(0, 255, true, draw),
+                "u8, draw {draw}"
+            );
+            let got = i32::sample_between(-40, 9, false, &mut Fixed(draw));
+            assert_eq!(
+                got as i128,
+                reference(-40, 9, false, draw),
+                "i32, draw {draw}"
+            );
         }
     }
 
